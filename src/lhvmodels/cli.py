@@ -44,7 +44,12 @@ import numpy as np
 from . import bounds as _bounds
 from .dimension import run_dimension_model
 from .errors import DomainError, LhvError, ScenarioFormatError, SizeGuardExceeded
-from .multiparty import MultipartyModel, positivity_scan, solve_weights
+from .multiparty import (
+    MultipartyModel,
+    check_scan_args,
+    positivity_scan,
+    solve_weights,
+)
 from .quantum import (
     extend_with_inefficiency,
     format_outcome,
@@ -504,6 +509,8 @@ def _cmd_multiparty_scan(args, parser) -> int:
     if mode == "fixed_M":
         params["m"] = args.m
     config = RunConfig("multiparty scan", params, None, args.out, args.fmt)
+    # checked before the report is opened, so bad input writes nothing
+    check_scan_args(args.n_max, mode=mode, m=args.m, n_min=args.n_min)
     all_pass = True
     rows = positivity_scan(args.n_max, mode=mode, m=args.m, n_min=args.n_min)
     with _Output(args.out) as fh:

@@ -24,10 +24,9 @@ weights for *all* M at once (:func:`positivity_scan`).
 
 Everything in this combinatorial layer uses exact rational arithmetic
 end-to-end — no stable floating-point evaluation of the recursion is known,
-and the positivity question is precisely about signs of tiny values.  When
-the optional ``gmpy2`` package is installed its rationals are used
-internally for speed; results are always returned as
-:class:`fractions.Fraction`.
+and the positivity question is precisely about signs of tiny values.  The
+recursion runs fraction-free, on plain Python integers over one common
+denominator; results are returned as :class:`fractions.Fraction`.
 """
 
 from __future__ import annotations
@@ -48,12 +47,6 @@ from .quantum import (
     Scenario,
     subset_joint_table,
 )
-
-try:  # optional fast exact-rational backend
-    from gmpy2 import mpq as _mpq
-except ImportError:  # pragma: no cover - exercised where gmpy2 is absent
-    _mpq = None
-
 
 # ---------------------------------------------------------------------------
 # click-pattern probabilities
@@ -153,7 +146,7 @@ def protocol_click_probabilities(n: int, m: int, i: int) -> ClickPatternProbabil
 # ---------------------------------------------------------------------------
 
 
-def recursion_r(n: int, use_fast: bool = True) -> list[Fraction]:
+def recursion_r(n: int) -> list[Fraction]:
     """The rescaled weight sequence r_0..r_N, in exact rational arithmetic.
 
     Starting from r_0 = 1, r_1 = 0, each r_k is fixed by requiring the
@@ -168,39 +161,42 @@ def recursion_r(n: int, use_fast: bool = True) -> list[Fraction]:
         (N-1)(N-k+1) C(k-1,i) - N(N-k) C(k,i)
 
     over N * C(N,i) * (N-i), which is how the loop below evaluates it
-    (binomials updated incrementally along each row).  Only the signs of
-    the r_k matter downstream, and they sit at the edge of massive
-    cancellation — hence exact rationals end-to-end; no floating-point
-    shortcut is taken anywhere in this path.
+    (binomials updated incrementally along each row).
 
-    ``use_fast=False`` forces the pure-stdlib Fraction backend even when
-    gmpy2 is available (the two backends are compared in the tests).
+    The loop is fraction-free, in the manner of Bareiss elimination: the
+    row terms u_i = r_i / (C(N,i) * (N-i)) are kept as integers W_i over
+    one common denominator S, so each step sums plain integer products,
+
+        acc = sum_i W_i * bracket(k, i),   r_k = acc * C(N,k) / (N * S),
+
+    and then rescales W and S by N(N-k) to append W_k = acc.  Building the
+    returned :class:`~fractions.Fraction` is the only gcd per k.  Only the
+    signs of the r_k matter downstream (sign(r_k) = sign(acc)), and they
+    sit at the edge of massive cancellation; no floating-point shortcut is
+    taken anywhere in this path.
     """
     n = int(n)
     if n < 2:
         raise DomainError(f"need N >= 2, got {n}")
-    rational = _mpq if (use_fast and _mpq is not None) else Fraction
-    r = [rational(1), rational(0)]
-    # u_i = r_i / (C(N,i) * (N-i)) : the shared denominator of row terms
-    u = [rational(1, n), rational(0)]
+    r = [Fraction(1), Fraction(0)]
+    w = [1, 0]  # u_i = w[i] / s
+    s = n
     for k in range(2, n + 1):
         c_km1 = 1  # C(k-1, i), updated incrementally over i
         c_k = 1  # C(k, i)
         lead = (n - 1) * (n - k + 1)
         tail = n * (n - k)
-        acc = rational(0)
+        acc = 0
         for i in range(k):
-            bracket = lead * c_km1 - tail * c_k
-            if bracket and u[i]:
-                acc += u[i] * bracket
+            acc += w[i] * (lead * c_km1 - tail * c_k)
             c_km1 = c_km1 * (k - 1 - i) // (i + 1)
             c_k = c_k * (k - i) // (i + 1)
-        r_k = acc * comb(n, k) / n
-        r.append(r_k)
-        u.append(r_k / (comb(n, k) * (n - k)) if k < n else rational(0))
-    if rational is Fraction:
-        return r
-    return [Fraction(int(v.numerator), int(v.denominator)) for v in r]
+        r.append(Fraction(acc * comb(n, k), n * s))
+        if k < n:
+            w = [v * tail for v in w]
+            w.append(acc)
+            s *= tail
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +347,30 @@ class ScanRow:
     passed: bool
 
 
+def check_scan_args(
+    n_max: int,
+    mode: str = "all_M_via_r",
+    m: int | None = None,
+    n_min: int = 2,
+) -> None:
+    """Raise :class:`DomainError` unless :func:`positivity_scan` accepts
+    these arguments.
+
+    The scan is a generator, so it checks them only at its first row;
+    callers that write anything before consuming it call this first.
+    """
+    n_max, n_min = int(n_max), int(n_min)
+    if n_min < 2 or n_max < n_min:
+        raise DomainError(f"need 2 <= n_min <= n_max, got ({n_min}, {n_max})")
+    if mode == "fixed_M":
+        if m is None:
+            raise DomainError("fixed_M mode needs a settings count m")
+        if int(m) < 2:
+            raise DomainError(f"need at least 2 settings per party, got {m}")
+    elif mode != "all_M_via_r":
+        raise DomainError(f"unknown scan mode {mode!r}")
+
+
 def positivity_scan(
     n_max: int,
     mode: str = "all_M_via_r",
@@ -367,25 +387,21 @@ def positivity_scan(
 
     Rows are yielded as soon as computed, so long scans can be consumed
     (and persisted) incrementally; each N is independent, making a
-    restart from the last reported N possible.
+    restart from the last reported N possible.  Bad arguments raise at the
+    first row (see :func:`check_scan_args`).
     """
+    check_scan_args(n_max, mode, m, n_min)
     n_max, n_min = int(n_max), int(n_min)
-    if n_min < 2 or n_max < n_min:
-        raise DomainError(f"need 2 <= n_min <= n_max, got ({n_min}, {n_max})")
     if mode == "all_M_via_r":
         for n in range(n_min, n_max + 1):
             r = recursion_r(n)
             k = min(range(n + 1), key=lambda j: r[j])
             yield ScanRow(n, mode, r[k], k, r[k] >= 0)
-    elif mode == "fixed_M":
-        if m is None:
-            raise DomainError("fixed_M mode needs a settings count m")
+    else:
         for n in range(n_min, n_max + 1):
             mixture = solve_weights(n, m)
             i, value = mixture.min_weight()
             yield ScanRow(n, mode, value, i, value >= 0)
-    else:
-        raise DomainError(f"unknown scan mode {mode!r}")
 
 
 # ---------------------------------------------------------------------------

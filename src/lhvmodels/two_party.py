@@ -344,14 +344,30 @@ class TwoPartyModel:
         return (a, b)
 
     def tabulate(self, samples: np.ndarray) -> dict[tuple[Any, Any], int]:
-        """Count an ``(n, 2)`` sample array into an outcome-pair table."""
-        rows, counts = np.unique(np.asarray(samples), axis=0, return_counts=True)
-        out: dict[tuple[Any, Any], int] = {}
-        for (ca, cb), c in zip(rows, counts):
-            a = NO_CLICK if ca < 0 else self._alphabet_a[int(ca)]
-            b = NO_CLICK if cb < 0 else self._alphabet_b[int(cb)]
-            out[(a, b)] = int(c)
-        return out
+        """Count an ``(n, 2)`` sample array into an outcome-pair table.
+
+        Pairs are counted by their flat code (a+1)*(n_b+1) + (b+1), so the
+        silent code -1 sorts first and the keys come in ascending
+        (a, b) code order; outcome pairs that never occur are left out.
+        """
+        samples = np.asarray(samples, dtype=np.int64)
+        if samples.size and (
+            samples.min() < -1
+            or samples[:, 0].max() >= self.n_a
+            or samples[:, 1].max() >= self.n_b
+        ):
+            raise DomainError("sample codes out of range for the alphabets")
+        width = self.n_b + 1
+        counts = np.bincount(
+            (samples[:, 0] + 1) * width + (samples[:, 1] + 1),
+            minlength=(self.n_a + 1) * width,
+        )
+        labels_a = (NO_CLICK,) + self._alphabet_a
+        labels_b = (NO_CLICK,) + self._alphabet_b
+        return {
+            (labels_a[code // width], labels_b[code % width]): int(counts[code])
+            for code in np.flatnonzero(counts)
+        }
 
 
 def build_exact_distribution(scenario: Scenario) -> OutcomeDistribution:

@@ -112,6 +112,27 @@ def test_multiparty_scan_ndjson(capsys):
     assert all(r["pass"] for r in rows)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ["--n-max", "1"],
+        ["--n-max", "5", "--n-min", "1"],
+        ["--n-max", "3", "--n-min", "4"],
+        ["--n-max", "5", "--mode", "fixed", "--m", "1"],
+    ],
+)
+def test_multiparty_scan_bad_arguments_write_nothing(tmp_path, capsys, bad, fmt):
+    out = tmp_path / "bad.csv"
+    argv = ["multiparty", "scan", *bad, "--format", fmt]
+    assert main(argv) == 2
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "lhv:" in captured.err
+    assert not out.exists()
+
+
 def test_two_party_verify_passes(chsh_file, capsys):
     code = main(["two-party", "verify", "--scenario", chsh_file])
     report = json.loads(capsys.readouterr().out)

@@ -3,6 +3,7 @@ solve, the positivity recursion, and the full model against quantum."""
 
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 import pytest
 
@@ -111,9 +112,32 @@ def test_recursion_all_silent_closed_form():
         assert recursion_r(n)[-1] == Fraction(n - 1, n) ** n
 
 
-def test_recursion_backends_agree():
-    for n in (2, 7, 23, 40):
-        assert recursion_r(n, use_fast=True) == recursion_r(n, use_fast=False)
+def _reference_recursion_r(n):
+    """The recursion in plain Fraction arithmetic, one gcd per term: the
+    oracle for the fraction-free integer loop of ``recursion_r``."""
+    r = [Fraction(1), Fraction(0)]
+    u = [Fraction(1, n), Fraction(0)]  # u_i = r_i / (C(N,i) * (N-i))
+    for k in range(2, n + 1):
+        c_km1 = 1  # C(k-1, i)
+        c_k = 1  # C(k, i)
+        lead = (n - 1) * (n - k + 1)
+        tail = n * (n - k)
+        acc = Fraction(0)
+        for i in range(k):
+            acc += u[i] * (lead * c_km1 - tail * c_k)
+            c_km1 = c_km1 * (k - 1 - i) // (i + 1)
+            c_k = c_k * (k - i) // (i + 1)
+        r_k = acc * comb(n, k) / n
+        r.append(r_k)
+        u.append(r_k / (comb(n, k) * (n - k)) if k < n else Fraction(0))
+    return r
+
+
+def test_recursion_matches_fraction_reference():
+    for n in range(2, 61):
+        r = recursion_r(n)
+        assert r == _reference_recursion_r(n)
+        assert all(type(v) is Fraction for v in r)
 
 
 def test_recursion_values_stay_nonnegative_small():

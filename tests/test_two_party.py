@@ -1,5 +1,7 @@
 """Two-party inefficient model: exact tables, locality, and the sampler."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,28 @@ def test_sampler_matches_exact_distribution(chsh, rng):
         counts = model.tabulate(model.sample_many(choice, 60_000, rng))
         report = statistical_match(counts, exact.block(choice))
         assert report.passed, (choice, report.worst_cell)
+
+
+def test_tabulate_matches_counter_reference(random23, rng):
+    model = TwoPartyModel(random23)
+    # outcome 1 of each party never occurs; -1 is the silent code
+    samples = rng.choice([-1, 0, 2], size=(5_000, 2))
+    samples[:3] = [[-1, -1], [2, -1], [-1, 0]]
+    labels_a = model.scenario.alphabet(0)
+    labels_b = model.scenario.alphabet(1)
+    expected = {
+        (
+            NO_CLICK if a < 0 else labels_a[a],
+            NO_CLICK if b < 0 else labels_b[b],
+        ): n
+        for (a, b), n in sorted(Counter(map(tuple, samples.tolist())).items())
+    }
+    counts = model.tabulate(samples)
+    assert list(counts.items()) == list(expected.items())
+    assert all(type(n) is int for n in counts.values())
+    assert model.tabulate(np.empty((0, 2), dtype=np.int64)) == {}
+    with pytest.raises(DomainError):
+        model.tabulate(np.array([[0, 3]]))
 
 
 def test_sampler_matches_on_random_scenario(random23, rng):
