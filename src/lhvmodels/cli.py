@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime as _dt
+import itertools
 import json
 import secrets
 import sys
@@ -76,7 +77,10 @@ def _fmt_frac(x: Fraction) -> str:
 
 def _jsonable(obj: Any) -> Any:
     """Round floats to 15 significant digits, stringify rationals and
-    outcome labels, recursively."""
+    outcome labels, recursively; numpy scalars count as their Python
+    values."""
+    if isinstance(obj, np.generic):
+        obj = obj.item()
     if isinstance(obj, bool) or obj is None:
         return obj
     if isinstance(obj, Fraction):
@@ -371,36 +375,28 @@ def _cell(v: Any) -> str:
 def _comparison_tables(model_dist, target_dist, tol):
     """Entrywise comparison plus a per-settings breakdown table."""
     report = compare_float(model_dist, target_dist, tol=tol)
+    keys = [_outcomes_key(o) for o in itertools.product(*model_dist.alphabets)]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
     per_setting: dict[str, Any] = {}
     for choice in model_dist.settings_choices():
-        block_m = model_dist.block(choice)
-        block_t = target_dist.block(choice)
-        entries = {}
-        worst = 0.0
-        for outcomes in sorted(block_m, key=_outcomes_key):
-            m_val = float(block_m[outcomes])
-            t_val = float(block_t[outcomes])
-            entries[_outcomes_key(outcomes)] = {
-                "model": m_val,
-                "target": t_val,
-                "abs_error": abs(m_val - t_val),
-            }
-            worst = max(worst, abs(m_val - t_val))
+        model = model_dist.probs[choice].reshape(-1)
+        target = target_dist.probs[choice].reshape(-1)
+        errors = np.abs(model - target)
+        m, t, e = model.tolist(), target.tolist(), errors.tolist()
         per_setting[_settings_key(choice)] = {
-            "max_abs_error": worst,
-            "table": entries,
+            "max_abs_error": float(errors.max()),
+            "table": {
+                keys[i]: {"model": m[i], "target": t[i], "abs_error": e[i]}
+                for i in order
+            },
         }
     return report, per_setting
 
 
 def _conditional_check(model_dist, quantum_dist, tol):
     """Conditional-on-all-clicks distribution against the quantum joint."""
-    worst = 0.0
-    for choice in model_dist.settings_choices():
-        cond = model_dist.condition_on_all_clicks(choice)
-        target = quantum_dist.block(choice)
-        for outcomes, p in cond.items():
-            worst = max(worst, abs(float(p) - float(target[outcomes])))
+    cond = model_dist.all_click_conditional()
+    worst = float(np.max(np.abs(cond - quantum_dist.probs)))
     return {"max_abs_error": worst, "pass": worst <= tol}
 
 
@@ -428,14 +424,11 @@ def _cmd_two_party_verify(args) -> int:
     }
     config = RunConfig("two-party verify", params, seed, args.out, args.fmt)
     model = TwoPartyModel(scenario)
-    target = extend_with_inefficiency(
-        quantum_distribution(scenario), float(model.eta)
-    )
+    quantum = quantum_distribution(scenario)
+    target = extend_with_inefficiency(quantum, float(model.eta))
     model_dist = model.exact_distribution()
     report, per_setting = _comparison_tables(model_dist, target, args.tol)
-    conditional = _conditional_check(
-        model_dist, quantum_distribution(scenario), args.tol
-    )
+    conditional = _conditional_check(model_dist, quantum, args.tol)
     passed = report.passed and conditional["pass"]
     body: dict[str, Any] = {
         "eta": model.eta,

@@ -467,28 +467,31 @@ class MultipartyModel:
     # ------------------------------------------------------------------
 
     def exact_distribution(self) -> OutcomeDistribution:
-        """The model's full outcome table over every settings choice."""
-        n = self.n
-        table: dict[tuple[tuple[int, ...], tuple[Any, ...]], float] = {}
-        for choice in self.scenario.settings_choices():
-            for silent in itertools.product((False, True), repeat=n):
-                k = sum(silent)
-                firing = tuple(p for p in range(n) if not silent[p])
-                weight = self._pattern[k]
-                if not firing:
-                    key = tuple(NO_CLICK for _ in range(n))
-                    table[(choice, key)] = weight
-                    continue
-                marg = self._subset_table(
-                    firing, tuple(choice[p] for p in firing)
-                )
-                for idx in np.ndindex(marg.shape):
-                    outcomes: list[Any] = [NO_CLICK] * n
-                    for j, p in enumerate(firing):
-                        outcomes[p] = self._alphabets[p][idx[j]]
-                    table[(choice, tuple(outcomes))] = weight * float(marg[idx])
+        """The model's full outcome table over every settings choice.
+
+        Each silent subset and each settings choice of its firing parties
+        writes one slice: the firing parties' quantum marginal times the
+        pattern probability, broadcast over the silent parties' settings,
+        at the NO_CLICK position of the silent parties' outcome axes.
+        """
+        n, m = self.n, self.m
+        sizes = [len(a) for a in self._alphabets]
+        probs = np.zeros((m,) * n + tuple(a + 1 for a in sizes))
+        for silent in itertools.product((False, True), repeat=n):
+            firing = tuple(p for p in range(n) if not silent[p])
+            weight = self._pattern[n - len(firing)]
+            cell = tuple(
+                sizes[p] if silent[p] else slice(sizes[p]) for p in range(n)
+            )
+            if not firing:
+                probs[(Ellipsis,) + cell] = weight
+                continue
+            for fired in itertools.product(range(m), repeat=len(firing)):
+                chosen = dict(zip(firing, fired))
+                sel = tuple(chosen.get(p, slice(None)) for p in range(n))
+                probs[sel + cell] = weight * self._subset_table(firing, fired)
         alphabets = tuple(a + (NO_CLICK,) for a in self._alphabets)
-        return OutcomeDistribution(n, alphabets, table, numeric_mode="float")
+        return OutcomeDistribution(alphabets, probs)
 
     # ------------------------------------------------------------------
     # explicit protocol enumeration (locality-manifest route)
@@ -508,9 +511,8 @@ class MultipartyModel:
             raise SizeGuardExceeded(
                 "hidden-variable enumeration is for N <= 4 cross-checks"
             )
-        sizes = [len(a) for a in self._alphabets]
-        ext_sizes = [s + 1 for s in sizes]  # last position = silent
-        table: dict[tuple[tuple[int, ...], tuple[Any, ...]], float] = {}
+        ext_sizes = [len(a) + 1 for a in self._alphabets]  # last = silent
+        probs = np.zeros((m,) * n + tuple(ext_sizes))
         for choice in self.scenario.settings_choices():
             block = np.zeros(ext_sizes)
             for i, p_i in self.mixture.weights.items():
@@ -539,14 +541,9 @@ class MultipartyModel:
                                 guess_settings,
                                 w_guess,
                             )
-            for idx in np.ndindex(*ext_sizes):
-                outcomes = tuple(
-                    NO_CLICK if idx[p] == sizes[p] else self._alphabets[p][idx[p]]
-                    for p in range(n)
-                )
-                table[(choice, outcomes)] = float(block[idx])
+            probs[choice] = block
         alphabets = tuple(a + (NO_CLICK,) for a in self._alphabets)
-        return OutcomeDistribution(n, alphabets, table, numeric_mode="float")
+        return OutcomeDistribution(alphabets, probs)
 
     def _accumulate_guessed(
         self,

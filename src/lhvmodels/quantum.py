@@ -11,6 +11,12 @@ outcome alphabet gains a "no click" symbol and a pattern with k silent
 detectors occurs with probability eta^(N-k) (1-eta)^k times the quantum
 marginal on the firing set.
 
+Outcome tables (:class:`OutcomeDistribution`) are dense arrays, settings
+axes first and then one outcome axis per party (NO_CLICK last); labels
+appear only at I/O.  Exact-rational tables are object arrays of
+``Fraction`` on the same code path.  Sums over cells run in C order, and a
+comparison's worst cell is the first tied cell in C order.
+
 Numerical policy: quantum quantities are computed in floating point and
 compared with tolerance ``1e-10``; exact rational arithmetic is reserved for
 the combinatorial layer built on top of these tables.  Construction-time
@@ -28,7 +34,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -74,11 +80,6 @@ NO_CLICK = _NoClick()
 def format_outcome(outcome: Any) -> str:
     """Render an outcome label for reports ("∅" for the silent outcome)."""
     return "∅" if outcome is NO_CLICK else str(outcome)
-
-
-def outcome_sort_key(outcomes: Sequence[Any]):
-    """Sort key placing click outcomes first (in label order), ∅ last."""
-    return tuple((1, 0) if o is NO_CLICK else (0, o) for o in outcomes)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -599,113 +600,157 @@ def _raise_label(label: Any, party: int):
 # ---------------------------------------------------------------------------
 
 
+def sequential_sum(a: np.ndarray, axes: Iterable[int]) -> np.ndarray:
+    """Sum ``a`` over ``axes`` one cell at a time, in C order over them.
+
+    This is the order, and so the rounding, of a Python loop over the
+    cells; ``np.sum`` adds pairwise and can differ in the last bit.  Works
+    on float and on object (``Fraction``) arrays alike.
+    """
+    axes = list(axes)
+    kept = a.ndim - len(axes)
+    moved = np.moveaxis(a, axes, range(kept, a.ndim))
+    flat = moved.reshape(moved.shape[:kept] + (-1,))
+    if not flat.shape[-1]:  # an empty sum, e.g. no all-click cell
+        return np.zeros(flat.shape[:-1], dtype=a.dtype)
+    return np.cumsum(flat, axis=-1)[..., -1]
+
+
 @dataclass(frozen=True, eq=False)
 class OutcomeDistribution:
     """A probability table over settings choices and outcome tuples.
 
-    ``table`` maps ``(settings, outcomes)`` key pairs — both plain tuples —
-    to probabilities; ``alphabets[p]`` lists party ``p``'s outcome labels,
-    including :data:`NO_CLICK` when the distribution covers detector
-    silence.  ``numeric_mode`` is ``"float"`` or ``"exact-rational"``; in
-    rational mode every entry is a :class:`fractions.Fraction` and each
-    settings block sums to exactly 1, in float mode blocks sum to 1 within
-    ``1e-12``.
+    ``probs`` has shape ``(M_1, ..., M_N, A_1, ..., A_N)``, so ``probs[s]``
+    is the block at settings choice ``s``; ``alphabets[p]`` labels party
+    ``p``'s outcome axis, with :data:`NO_CLICK` last where present.  Labels
+    are used only at I/O (:meth:`block`, :attr:`table`,
+    :meth:`condition_on_all_clicks`).  An object array holds ``Fraction``
+    entries (``numeric_mode`` ``"exact-rational"``: blocks sum to exactly
+    1); any other array is stored read-only as float64 (``"float"``: blocks
+    sum to 1 within ``1e-12``).  A shape that does not match the alphabets
+    raises :class:`StructuralError`; an entry outside [0, 1] or a block
+    that does not sum to 1 raises :class:`InvariantViolation`.
     """
 
-    n_parties: int
     alphabets: tuple[tuple[Any, ...], ...]
-    table: Mapping[tuple[tuple[int, ...], tuple[Any, ...]], Any]
-    numeric_mode: str = "float"
+    probs: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.numeric_mode not in ("float", "exact-rational"):
-            raise StructuralError(f"unknown numeric mode {self.numeric_mode!r}")
-        if len(self.alphabets) != self.n_parties:
-            raise StructuralError("need one outcome alphabet per party")
         alphabets = tuple(tuple(a) for a in self.alphabets)
-        table = dict(self.table)
-        exact = self.numeric_mode == "exact-rational"
-        sums: dict[tuple[int, ...], Any] = {}
-        for (settings, outcomes), p in table.items():
-            if len(settings) != self.n_parties or len(outcomes) != self.n_parties:
-                raise StructuralError(
-                    f"key {(settings, outcomes)} does not match {self.n_parties} parties"
-                )
-            for party, o in enumerate(outcomes):
-                if o not in alphabets[party]:
-                    raise StructuralError(
-                        f"outcome {format_outcome(o)} not in party {party}'s alphabet"
-                    )
-            if exact:
-                p = Fraction(p)
-                table[(settings, outcomes)] = p
-                if p < 0 or p > 1:
-                    raise InvariantViolation(f"probability {p} outside [0,1]")
-            else:
-                p = float(p)
-                table[(settings, outcomes)] = p
-                if p < -BLOCK_SUM_TOL or p > 1.0 + BLOCK_SUM_TOL:
-                    raise InvariantViolation(f"probability {p!r} outside [0,1]")
-            sums[settings] = sums.get(settings, 0) + p
-        for settings, total in sums.items():
-            if exact:
-                if total != 1:
-                    raise InvariantViolation(
-                        f"settings {settings}: probabilities sum to {total}, not 1"
-                    )
-            elif abs(total - 1.0) > BLOCK_SUM_TOL:
-                raise InvariantViolation(
-                    f"settings {settings}: probabilities sum to {total!r}, not 1"
-                )
+        n = len(alphabets)
+        sizes = tuple(len(a) for a in alphabets)
+        probs = np.asarray(self.probs)
+        if not n or probs.ndim != 2 * n or probs.shape[n:] != sizes:
+            raise StructuralError(
+                f"probability array of shape {probs.shape} does not match "
+                f"{n} parties with outcome alphabets of sizes {sizes}"
+            )
+        if not probs.size:
+            raise StructuralError(f"empty probability array of shape {probs.shape}")
+        if any(NO_CLICK in a[:-1] for a in alphabets):
+            raise StructuralError("NO_CLICK must be the last label of an alphabet")
+        if probs.dtype == object:
+            probs, tol = np.frompyfunc(Fraction, 1, 1)(probs), 0
+        else:
+            probs, tol = np.array(probs, dtype=np.float64), BLOCK_SUM_TOL
+        outside = ~((probs >= -tol) & (probs <= 1 + tol))  # NaN too
+        if outside.any():
+            raise InvariantViolation(
+                f"probability {probs[outside].tolist()[0]} outside [0,1]"
+            )
+        totals = probs.sum(axis=tuple(range(n, 2 * n)))
+        off = ~(np.abs(totals - 1) <= tol)
+        if off.any():
+            s = tuple(int(i) for i in np.argwhere(off)[0])
+            raise InvariantViolation(
+                f"settings {s}: probabilities sum to {totals[s]}, not 1"
+            )
+        probs.setflags(write=False)
         object.__setattr__(self, "alphabets", alphabets)
-        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "probs", probs)
+
+    @property
+    def n_parties(self) -> int:
+        return len(self.alphabets)
+
+    @property
+    def numeric_mode(self) -> str:
+        """``"exact-rational"`` for an object array, else ``"float"``."""
+        return "exact-rational" if self.probs.dtype == object else "float"
 
     def settings_choices(self) -> list[tuple[int, ...]]:
-        return sorted({s for s, _ in self.table})
+        """Every settings choice, in lexicographic (C) order."""
+        shape = self.probs.shape[: self.n_parties]
+        return list(itertools.product(*(range(m) for m in shape)))
 
-    def block(self, settings: tuple[int, ...]) -> dict[tuple[Any, ...], Any]:
-        """The outcome distribution at one settings choice."""
-        out = {
-            o: p for (s, o), p in self.table.items() if s == tuple(settings)
-        }
-        if not out:
+    def _settings_index(self, settings: Sequence[int]) -> tuple[int, ...]:
+        s = tuple(int(x) for x in settings)
+        shape = self.probs.shape[: self.n_parties]
+        if len(s) != len(shape) or not all(0 <= x < m for x, m in zip(s, shape)):
             raise DomainError(f"no entries for settings {tuple(settings)}")
-        return out
+        return s
+
+    def block(self, settings: Sequence[int]) -> dict[tuple[Any, ...], Any]:
+        """The outcome distribution at one settings choice, keyed by
+        outcome-label tuples in C order."""
+        block = self.probs[self._settings_index(settings)].reshape(-1)
+        return dict(zip(itertools.product(*self.alphabets), block.tolist()))
+
+    @property
+    def table(self) -> dict[tuple[tuple[int, ...], tuple[Any, ...]], Any]:
+        """Every cell keyed by ``(settings, outcomes)`` label tuples, built
+        on each access (for I/O and cell counts; computations use
+        ``probs``)."""
+        cells = list(itertools.product(*self.alphabets))
+        rows = self.probs.reshape(-1, len(cells)).tolist()
+        return {
+            (s, o): p
+            for s, row in zip(self.settings_choices(), rows)
+            for o, p in zip(cells, row)
+        }
 
     def includes_no_click(self) -> bool:
         return any(NO_CLICK in a for a in self.alphabets)
 
+    def _conditioned(self, settings: tuple[int, ...]) -> np.ndarray:
+        """The all-click cells of the blocks under settings prefix
+        ``settings``, divided by their totals."""
+        n = self.n_parties
+        keep = tuple(
+            slice(len(a) - 1) if a[-1] is NO_CLICK else slice(None)
+            for a in self.alphabets
+        )
+        clicked = self.probs[settings][(Ellipsis,) + keep]
+        totals = sequential_sum(clicked, range(clicked.ndim - n, clicked.ndim))
+        zero = totals == 0
+        if np.any(zero):
+            s = settings + tuple(int(i) for i in np.argwhere(zero)[0])
+            raise DomainError(f"all-click probability is 0 at settings {s}")
+        return clicked / np.reshape(totals, np.shape(totals) + (1,) * n)
+
+    def all_click_conditional(self) -> np.ndarray:
+        """Every block conditioned on all detectors firing, shape
+        ``(M_1, ..., M_N, A'_1, ..., A'_N)`` with NO_CLICK dropped from
+        each alphabet (DomainError where a block never fires fully)."""
+        return self._conditioned(())
+
     def condition_on_all_clicks(
-        self, settings: tuple[int, ...]
+        self, settings: Sequence[int]
     ) -> dict[tuple[Any, ...], Any]:
         """The block at ``settings`` conditioned on every detector firing."""
-        block = self.block(settings)
-        clicked = {
-            o: p
-            for o, p in block.items()
-            if not any(x is NO_CLICK for x in o)
-        }
-        total = sum(clicked.values())
-        if total == 0:
-            raise DomainError(
-                f"all-click probability is 0 at settings {tuple(settings)}"
-            )
-        return {o: p / total for o, p in clicked.items()}
+        cond = self._conditioned(self._settings_index(settings))
+        labels = (tuple(o for o in a if o is not NO_CLICK) for a in self.alphabets)
+        return dict(zip(itertools.product(*labels), cond.reshape(-1).tolist()))
 
 
 def quantum_distribution(scenario: Scenario) -> OutcomeDistribution:
     """The full click-only outcome table of a scenario, for every settings
     choice, as a float-mode :class:`OutcomeDistribution`."""
-    table: dict[tuple[tuple[int, ...], tuple[Any, ...]], float] = {}
     alphabets = tuple(scenario.alphabet(p) for p in range(scenario.n_parties))
+    probs = np.empty(scenario.n_settings + tuple(len(a) for a in alphabets))
     for choice in scenario.settings_choices():
-        probs = joint_outcome_table(scenario, choice)
-        for idx in np.ndindex(probs.shape):
-            outcomes = tuple(alphabets[p][i] for p, i in enumerate(idx))
-            table[(choice, outcomes)] = float(probs[idx])
-    return OutcomeDistribution(
-        scenario.n_parties, alphabets, table, numeric_mode="float"
-    )
+        probs[choice] = joint_outcome_table(scenario, choice)
+    return OutcomeDistribution(alphabets, probs)
 
 
 def extend_with_inefficiency(
@@ -716,8 +761,9 @@ def extend_with_inefficiency(
     A pattern in which a set K of k parties is silent and the rest fire with
     outcomes ``o`` has probability ``eta^(N-k) (1-eta)^k`` times the
     marginal of ``o`` over K (obtained by summing the click-only block, which
-    by POVM completeness equals the identity-substitution marginal).  In
-    rational mode the output block sums are exactly 1.
+    by POVM completeness equals the identity-substitution marginal).  Each
+    silent set K writes one slice of the output: the NO_CLICK position on
+    K's outcome axes.  In rational mode the output block sums are exactly 1.
 
     ``eta`` must be a float in float mode and an exact number (int, Fraction
     or num/den string) in rational mode.
@@ -733,22 +779,19 @@ def extend_with_inefficiency(
         raise DomainError(f"efficiency {eta} outside [0,1]")
     n = dist.n_parties
     one = Fraction(1) if exact else 1.0
-    table: dict[tuple[tuple[int, ...], tuple[Any, ...]], Any] = {}
-    for settings in dist.settings_choices():
-        block = dist.block(settings)
-        for silent in itertools.product((False, True), repeat=n):
-            k = sum(silent)
-            factor = eta ** (n - k) * (one - eta) ** k
-            marg: dict[tuple[Any, ...], Any] = {}
-            for outcomes, p in block.items():
-                key = tuple(
-                    NO_CLICK if silent[q] else outcomes[q] for q in range(n)
-                )
-                marg[key] = marg.get(key, 0) + p
-            for key, p in marg.items():
-                table[(settings, key)] = table.get((settings, key), 0) + factor * p
+    sizes = [len(a) for a in dist.alphabets]
+    out = np.zeros(
+        dist.probs.shape[:n] + tuple(a + 1 for a in sizes), dtype=dist.probs.dtype
+    )
+    for silent in itertools.product((False, True), repeat=n):
+        k = sum(silent)
+        factor = eta ** (n - k) * (one - eta) ** k
+        marg = sequential_sum(dist.probs, [n + q for q in range(n) if silent[q]])
+        cell = tuple(sizes[q] if silent[q] else slice(sizes[q]) for q in range(n))
+        # adding to zero also turns a -0.0 cell into 0.0
+        out[(Ellipsis,) + cell] += factor * marg
     alphabets = tuple(a + (NO_CLICK,) for a in dist.alphabets)
-    return OutcomeDistribution(n, alphabets, table, numeric_mode=dist.numeric_mode)
+    return OutcomeDistribution(alphabets, out)
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,9 @@ class TwoPartyModel:
         self._alphabet_b = scenario.alphabet(1)
         self.n_a = len(self._alphabet_a)
         self.n_b = len(self._alphabet_b)
+        self._extended_alphabets = (
+            self._alphabet_a + (NO_CLICK,), self._alphabet_b + (NO_CLICK,)
+        )
         # quantum tables: joint per settings pair, marginals per setting
         self._joint = {
             (x, y): joint_outcome_table(scenario, (x, y))
@@ -117,37 +120,25 @@ class TwoPartyModel:
         w_both = g * (r / self.m_a + (1.0 - r) / self.m_b)
         w_alice_silent = g * r / self.m_a
         w_bob_silent = g * (1.0 - r) / self.m_b
-        table: dict[tuple[tuple[int, ...], tuple[Any, ...]], float] = {}
+        probs = np.empty((self.m_a, self.m_b, self.n_a + 1, self.n_b + 1))
         for x in range(self.m_a):
             for y in range(self.m_b):
-                key = (x, y)
-                joint = self._joint[key]
                 b_given_any_a = sum(
-                    self._joint[(xp, y)].sum(axis=0)
-                    for xp in range(self.m_a)
-                    if xp != x
+                    (self._joint[(xp, y)].sum(axis=0)
+                     for xp in range(self.m_a) if xp != x),
+                    np.zeros(self.n_b),
                 )
                 a_given_any_b = sum(
-                    self._joint[(x, yp)].sum(axis=1)
-                    for yp in range(self.m_b)
-                    if yp != y
+                    (self._joint[(x, yp)].sum(axis=1)
+                     for yp in range(self.m_b) if yp != y),
+                    np.zeros(self.n_a),
                 )
-                for ia, la in enumerate(self._alphabet_a):
-                    for ib, lb in enumerate(self._alphabet_b):
-                        table[(key, (la, lb))] = w_both * float(joint[ia, ib])
-                    table[(key, (la, NO_CLICK))] = w_bob_silent * (
-                        float(a_given_any_b[ia]) if self.m_b > 1 else 0.0
-                    )
-                for ib, lb in enumerate(self._alphabet_b):
-                    table[(key, (NO_CLICK, lb))] = w_alice_silent * (
-                        float(b_given_any_a[ib]) if self.m_a > 1 else 0.0
-                    )
-                table[(key, (NO_CLICK, NO_CLICK))] = 1.0 - g
-        alphabets = (
-            self._alphabet_a + (NO_CLICK,),
-            self._alphabet_b + (NO_CLICK,),
-        )
-        return OutcomeDistribution(2, alphabets, table, numeric_mode="float")
+                block = probs[x, y]  # silent outcome in the last position
+                block[:-1, :-1] = w_both * self._joint[(x, y)]
+                block[:-1, -1] = w_bob_silent * a_given_any_b
+                block[-1, :-1] = w_alice_silent * b_given_any_a
+                block[-1, -1] = 1.0 - g
+        return OutcomeDistribution(self._extended_alphabets, probs)
 
     # ------------------------------------------------------------------
     # explicit hidden-variable enumeration (locality-manifest route)
@@ -231,9 +222,7 @@ class TwoPartyModel:
         single-party response distributions.
         """
         lams = list(self.enumerate_hidden_variables())
-        table: dict[tuple[tuple[int, ...], tuple[Any, ...]], float] = {}
-        ext_a = self._alphabet_a + (NO_CLICK,)
-        ext_b = self._alphabet_b + (NO_CLICK,)
+        probs = np.zeros((self.m_a, self.m_b, self.n_a + 1, self.n_b + 1))
         for x in range(self.m_a):
             for y in range(self.m_b):
                 block = np.zeros((self.n_a + 1, self.n_b + 1))
@@ -241,12 +230,8 @@ class TwoPartyModel:
                     block += weight * np.outer(
                         self.respond_alice(lam, x), self.respond_bob(lam, y)
                     )
-                for ia, la in enumerate(ext_a):
-                    for ib, lb in enumerate(ext_b):
-                        table[((x, y), (la, lb))] = float(block[ia, ib])
-        return OutcomeDistribution(
-            2, (ext_a, ext_b), table, numeric_mode="float"
-        )
+                probs[x, y] = block
+        return OutcomeDistribution(self._extended_alphabets, probs)
 
     # ------------------------------------------------------------------
     # sampling
@@ -373,10 +358,3 @@ class TwoPartyModel:
 def build_exact_distribution(scenario: Scenario) -> OutcomeDistribution:
     """Exact outcome table of the two-party model for a scenario."""
     return TwoPartyModel(scenario).exact_distribution()
-
-
-def sample(
-    scenario: Scenario, settings: tuple[int, int], rng: np.random.Generator
-) -> tuple[Any, Any]:
-    """One draw from the two-party model (convenience wrapper)."""
-    return TwoPartyModel(scenario).sample(settings, rng)

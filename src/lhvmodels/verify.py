@@ -18,8 +18,10 @@ import math
 from dataclasses import dataclass
 from typing import Any, Mapping
 
+import numpy as np
+
 from .errors import DomainError, StructuralError
-from .quantum import OutcomeDistribution, format_outcome
+from .quantum import OutcomeDistribution, format_outcome, sequential_sum
 
 #: Default entrywise tolerance for float comparisons.
 FLOAT_TOL = 1e-10
@@ -34,8 +36,9 @@ class ComparisonReport:
     """Result of one comparison.
 
     ``worst_cell`` names the cell with the largest deviation (rendered as a
-    string); ``tv_distance`` is the total-variation distance — for tables
-    with several settings blocks, the worst block's distance.  ``passed``
+    string; of tied table cells, the first in C order); ``tv_distance`` is
+    the total-variation distance — for tables with several settings
+    blocks, the worst block's distance.  ``passed``
     holds iff the mode's criterion (exact equality, tolerance, or the
     three-sigma band) holds in every cell; ``failing_cells`` counts the
     cells that broke it.  ``n_samples`` and ``sigma_bound`` are only set by
@@ -75,28 +78,36 @@ def _render_cell(key: Any) -> str:
     )
 
 
-def _matched_tables(a: OutcomeDistribution, b: OutcomeDistribution):
-    if set(a.table) != set(b.table):
-        only_a = len(set(a.table) - set(b.table))
-        only_b = len(set(b.table) - set(a.table))
+def _float_errors(a: OutcomeDistribution, b: OutcomeDistribution) -> np.ndarray:
+    """|a - b| per cell, in floats; tables over different cells raise
+    :class:`StructuralError`."""
+    if a.alphabets != b.alphabets or a.probs.shape != b.probs.shape:
         raise StructuralError(
-            f"distributions index different cells "
-            f"({only_a} only in first, {only_b} only in second)"
+            f"distributions index different cells (shapes {a.probs.shape} "
+            f"and {b.probs.shape}, alphabets {a.alphabets} and {b.alphabets})"
         )
-    if not a.table:
-        raise StructuralError("cannot compare empty distributions")
-    return a.table, b.table
+    return np.abs(a.probs.astype(float) - b.probs.astype(float))
 
 
-def _blockwise_tv(a: OutcomeDistribution, b: OutcomeDistribution) -> float:
-    worst = 0.0
-    for settings in a.settings_choices():
-        block_a, block_b = a.block(settings), b.block(settings)
-        tv = 0.5 * sum(
-            abs(float(block_a[o]) - float(block_b[o])) for o in block_a
-        )
-        worst = max(worst, tv)
-    return worst
+def _report(
+    mode: str, dist: OutcomeDistribution, err: np.ndarray, failing: int,
+    tv_err: np.ndarray,
+) -> ComparisonReport:
+    """Name the first largest ``err`` cell in C order; the distance is the
+    worst block's half-sum of ``tv_err``."""
+    n = dist.n_parties
+    i = int(np.argmax(err))
+    idx = [int(j) for j in np.unravel_index(i, err.shape)]
+    outcomes = tuple(dist.alphabets[p][idx[n + p]] for p in range(n))
+    tv = 0.5 * sequential_sum(tv_err, range(n, 2 * n))
+    return ComparisonReport(
+        mode=mode,
+        passed=failing == 0,
+        max_abs_error=float(err.flat[i]),
+        worst_cell=_render_cell((idx[:n], outcomes)),
+        tv_distance=float(np.max(tv)),
+        failing_cells=failing,
+    )
 
 
 def compare_exact(
@@ -105,52 +116,23 @@ def compare_exact(
     """Entrywise equality of two exact-rational distributions.
 
     Passes iff every cell holds the identical reduced rational in both
-    tables.  Index-set mismatches raise :class:`StructuralError`.
+    tables.  Tables over different cells raise :class:`StructuralError`.
     """
     for dist, name in ((a, "first"), (b, "second")):
         if dist.numeric_mode != "exact-rational":
             raise DomainError(f"{name} distribution is not in exact-rational mode")
-    ta, tb = _matched_tables(a, b)
-    worst_key, worst_err, failing = None, -1.0, 0
-    exact_ok = True
-    for key in ta:
-        diff = ta[key] - tb[key]
-        if diff != 0:
-            exact_ok = False
-            failing += 1
-        err = abs(float(diff))
-        if err > worst_err or worst_key is None:
-            worst_key, worst_err = key, err
-    return ComparisonReport(
-        mode="exact",
-        passed=exact_ok,
-        max_abs_error=max(worst_err, 0.0),
-        worst_cell=_render_cell(worst_key),
-        tv_distance=_blockwise_tv(a, b),
-        failing_cells=failing,
-    )
+    tv_err = _float_errors(a, b)
+    diff = a.probs - b.probs
+    failing = int(np.count_nonzero(diff != 0))
+    return _report("exact", a, np.abs(diff.astype(float)), failing, tv_err)
 
 
 def compare_float(
     a: OutcomeDistribution, b: OutcomeDistribution, tol: float = FLOAT_TOL
 ) -> ComparisonReport:
     """Entrywise |a - b| <= tol comparison (default tolerance 1e-10)."""
-    ta, tb = _matched_tables(a, b)
-    worst_key, worst_err, failing = None, -1.0, 0
-    for key in ta:
-        err = abs(float(ta[key]) - float(tb[key]))
-        if err > tol:
-            failing += 1
-        if err > worst_err or worst_key is None:
-            worst_key, worst_err = key, err
-    return ComparisonReport(
-        mode="float",
-        passed=failing == 0,
-        max_abs_error=worst_err,
-        worst_cell=_render_cell(worst_key),
-        tv_distance=_blockwise_tv(a, b),
-        failing_cells=failing,
-    )
+    err = _float_errors(a, b)
+    return _report("float", a, err, int(np.count_nonzero(err > tol)), err)
 
 
 def tv_distance(p: Mapping[Any, Any], q: Mapping[Any, Any]) -> float:
@@ -160,7 +142,8 @@ def tv_distance(p: Mapping[Any, Any], q: Mapping[Any, Any]) -> float:
     cell of either support.
     """
     keys = set(p) | set(q)
-    return 0.5 * sum(
+    # fsum rounds once, so the result does not depend on the set's order
+    return 0.5 * math.fsum(
         abs(float(p.get(k, 0.0)) - float(q.get(k, 0.0))) for k in keys
     )
 

@@ -4,10 +4,11 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from lhvmodels.cli import main
-from lhvmodels.presets import dimension_scenario
+from lhvmodels.presets import dimension_scenario, random_two_party_scenario
 from lhvmodels.quantum import scenario_to_json
 
 
@@ -227,6 +228,44 @@ def test_reports_are_reproducible_modulo_timestamp(tmp_path):
     assert main(argv) == 0
     second = _strip_timestamps(out.read_text(encoding="utf-8"))
     assert first == second
+
+
+def test_sampled_reports_are_reproducible_across_processes(tmp_path):
+    # each process places the NO_CLICK sentinel, and so its hash, anew
+    scenario = random_two_party_scenario(
+        np.random.default_rng(1), 2, 2, 4, (3, 3)
+    )
+    path = tmp_path / "bell.json"
+    path.write_text(json.dumps(scenario_to_json(scenario)), encoding="utf-8")
+    argv = [sys.executable, "-m", "lhvmodels.cli", "two-party", "verify",
+            "--scenario", str(path), "--samples", "2000", "--seed", "11"]
+    outputs = [
+        subprocess.run(argv, capture_output=True, text=True, check=True).stdout
+        for _ in range(2)
+    ]
+    assert '"tv_distance"' in outputs[0]
+    assert _strip_timestamps(outputs[0]) == _strip_timestamps(outputs[1])
+
+
+def test_dim_model_json_pass_fields_are_booleans(capsys):
+    assert main(["dim-model", "verify", "--d", "2", "--delta", "0.5236",
+                 "--samples", "4000", "--seed", "31"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    found = []
+
+    def collect(node):
+        if isinstance(node, dict):
+            for key, value in node.items():
+                if key == "pass":
+                    found.append(value)
+                collect(value)
+        elif isinstance(node, list):
+            for value in node:
+                collect(value)
+
+    collect(report)
+    assert report["alice_marginal"] and report["bob_marginal"]
+    assert found and all(isinstance(v, bool) for v in found)
 
 
 def test_fresh_seed_is_generated_and_echoed(capsys):

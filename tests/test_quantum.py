@@ -1,5 +1,6 @@
 """States, POVMs, joint outcome tables, inefficiency extension, JSON I/O."""
 
+import itertools
 import json
 import math
 import pickle
@@ -8,12 +9,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from lhvmodels.bounds import eta_multiparty, eta_two_party
 from lhvmodels.errors import (
+    DomainError,
     InvariantViolation,
     ScenarioFormatError,
     StructuralError,
 )
-from lhvmodels.presets import computational_povm, random_povm
+from lhvmodels.presets import computational_povm, ghz_scenario, random_povm
 from lhvmodels.quantum import (
     NO_CLICK,
     OutcomeDistribution,
@@ -292,13 +295,10 @@ def test_extend_single_no_click_cell():
 
 def test_extend_rational_mode_is_exact():
     half = Fraction(1, 2)
-    table = {
-        ((0, 0), (0, 0)): half,
-        ((0, 0), (0, 1)): Fraction(0),
-        ((0, 0), (1, 0)): Fraction(0),
-        ((0, 0), (1, 1)): half,
-    }
-    dist = OutcomeDistribution(2, ((0, 1), (0, 1)), table, "exact-rational")
+    probs = np.array(
+        [[[[half, Fraction(0)], [Fraction(0), half]]]], dtype=object
+    )
+    dist = OutcomeDistribution(((0, 1), (0, 1)), probs)
     extended = extend_with_inefficiency(dist, Fraction(2, 3))
     block = extended.block((0, 0))
     assert block[(NO_CLICK, NO_CLICK)] == Fraction(1, 9)
@@ -317,9 +317,100 @@ def test_conditioning_recovers_quantum_block(chsh):
 
 
 def test_distribution_rejects_bad_normalization():
-    table = {((0,) * 2, (0, 0)): 0.9}
+    probs = np.array([[[[0.9]]]])
     with pytest.raises(InvariantViolation):
-        OutcomeDistribution(2, ((0,), (0,)), table, "float")
+        OutcomeDistribution(((0,), (0,)), probs)
+
+
+def test_distribution_checks_shape_range_and_settings():
+    alphabets = ((0, 1), ("u", "v", "w"))
+    with pytest.raises(StructuralError):  # outcome axes (2, 2), alphabets (2, 3)
+        OutcomeDistribution(alphabets, np.full((1, 1, 2, 2), 0.25))
+    with pytest.raises(StructuralError):  # settings axes missing
+        OutcomeDistribution(alphabets, np.full((2, 3), 1 / 6))
+    with pytest.raises(StructuralError):
+        OutcomeDistribution(((NO_CLICK, 0), (0,)), np.full((1, 1, 2, 1), 0.5))
+    outside = np.full((1, 1, 2, 3), 0.2)
+    outside[0, 0, 0, 0], outside[0, 0, 1, 2] = 1.5, -0.5
+    with pytest.raises(InvariantViolation):
+        OutcomeDistribution(alphabets, outside)
+    with pytest.raises(InvariantViolation):  # exact mode: sums exactly to 1
+        OutcomeDistribution(
+            alphabets, np.full((1, 1, 2, 3), Fraction(1, 7), dtype=object)
+        )
+
+    dist = OutcomeDistribution(alphabets, np.full((2, 4, 2, 3), 1 / 6))
+    assert dist.n_parties == 2 and dist.numeric_mode == "float"
+    assert len(dist.table) == 2 * 4 * 2 * 3
+    assert dist.settings_choices() == list(itertools.product(range(2), range(4)))
+    assert list(dist.block((1, 3))) == list(itertools.product(*alphabets))
+    for bad in ((2, 0), (0, 4), (0, -1), (0,), (0, 0, 0)):
+        with pytest.raises(DomainError):
+            dist.block(bad)
+    assert not dist.probs.flags.writeable
+
+    never_fires = OutcomeDistribution(
+        ((0, 1), (NO_CLICK,)), np.full((1, 1, 2, 1), 0.5)
+    )
+    with pytest.raises(DomainError):
+        never_fires.condition_on_all_clicks((0, 0))
+
+
+def _reference_extend(dist, eta):
+    """The label-keyed dict loop that the dense eta-extension replaced,
+    kept as an oracle for its values and its float rounding."""
+    exact = dist.numeric_mode == "exact-rational"
+    eta = Fraction(eta) if exact else float(eta)
+    n = dist.n_parties
+    one = Fraction(1) if exact else 1.0
+    table = {}
+    for settings in dist.settings_choices():
+        block = dist.block(settings)
+        for silent in itertools.product((False, True), repeat=n):
+            k = sum(silent)
+            factor = eta ** (n - k) * (one - eta) ** k
+            marg = {}
+            for outcomes, p in block.items():
+                key = tuple(
+                    NO_CLICK if silent[q] else outcomes[q] for q in range(n)
+                )
+                marg[key] = marg.get(key, 0) + p
+            for key, p in marg.items():
+                table[(settings, key)] = table.get((settings, key), 0) + factor * p
+    return table
+
+
+def test_extend_matches_dict_reference_in_rational_mode():
+    rng = np.random.default_rng(5)
+    counts = rng.integers(0, 7, size=(2, 1, 3, 2, 3, 2))
+    counts[..., 0, 0, 0] += 1  # no empty block
+    probs = np.empty(counts.shape, dtype=object)
+    for s in np.ndindex(counts.shape[:3]):
+        total = int(counts[s].sum())
+        for o in np.ndindex(counts.shape[3:]):
+            probs[s + o] = Fraction(int(counts[s + o]), total)
+    dist = OutcomeDistribution(((0, 1), ("a", "b", "c"), (0, 1)), probs)
+    eta = Fraction(3, 7)
+    extended = extend_with_inefficiency(dist, eta)
+    assert extended.numeric_mode == "exact-rational"
+    assert extended.probs.shape == (2, 1, 3, 3, 4, 3)
+    table = extended.table
+    assert all(type(p) is Fraction for p in table.values())
+    assert table == _reference_extend(dist, eta)
+
+
+@pytest.mark.parametrize("case", ["ghz4", "random23"])
+def test_extend_matches_dict_reference_bit_for_bit(case, random23):
+    if case == "ghz4":
+        scenario, eta = ghz_scenario(4), float(eta_multiparty(4, 2))
+    else:
+        scenario, eta = random23, float(eta_two_party(2, 3))
+    dist = quantum_distribution(scenario)
+    got = extend_with_inefficiency(dist, eta).table
+    want = _reference_extend(dist, eta)
+    assert {k: v.hex() for k, v in got.items()} == {
+        k: float(v).hex() for k, v in want.items()
+    }
 
 
 # ---------------------------------------------------------------------------

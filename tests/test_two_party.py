@@ -11,7 +11,7 @@ from lhvmodels.quantum import (
     extend_with_inefficiency,
     quantum_distribution,
 )
-from lhvmodels.two_party import TwoPartyModel, build_exact_distribution, sample
+from lhvmodels.two_party import TwoPartyModel, build_exact_distribution
 from lhvmodels.verify import compare_float, statistical_match
 
 TOL = 1e-10
@@ -104,7 +104,7 @@ def test_sampler_is_reproducible(chsh):
 
 
 def test_sample_returns_outcome_labels(chsh, rng):
-    outcome = sample(chsh, (1, 0), rng)
+    outcome = TwoPartyModel(chsh).sample((1, 0), rng)
     assert len(outcome) == 2
     for o in outcome:
         assert o is NO_CLICK or o in (0, 1)

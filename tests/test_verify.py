@@ -23,13 +23,9 @@ def _dist(p, mode="float"):
         q = 1 - p
     else:
         q = 1.0 - p
-    table = {
-        ((0, 0), (0, 0)): p,
-        ((0, 0), (0, 1)): q,
-        ((0, 0), (1, 0)): 0 if exact else 0.0,
-        ((0, 0), (1, 1)): 0 if exact else 0.0,
-    }
-    return OutcomeDistribution(2, ((0, 1), (0, 1)), table, mode)
+    zero = 0 if exact else 0.0
+    probs = np.array([[[[p, q], [zero, zero]]]], dtype=object if exact else float)
+    return OutcomeDistribution(((0, 1), (0, 1)), probs)
 
 
 def test_compare_exact_pass_and_fail():
@@ -57,20 +53,10 @@ def test_compare_float_tolerance_boundary():
 
 
 def test_compare_rejects_mismatched_tables():
+    # settings (0, 0) and (0, 1) against the single settings choice (0, 0)
     other = OutcomeDistribution(
-        2,
         ((0, 1), (0, 1)),
-        {
-            ((0, 0), (0, 0)): 0.5,
-            ((0, 0), (0, 1)): 0.5,
-            ((0, 0), (1, 0)): 0.0,
-            ((0, 0), (1, 1)): 0.0,
-            ((0, 1), (0, 0)): 1.0,
-            ((0, 1), (0, 1)): 0.0,
-            ((0, 1), (1, 0)): 0.0,
-            ((0, 1), (1, 1)): 0.0,
-        },
-        "float",
+        np.array([[[[0.5, 0.5], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]]),
     )
     with pytest.raises(StructuralError):
         compare_float(_dist(0.5), other)
@@ -80,6 +66,11 @@ def test_tv_distance_extremes():
     assert tv_distance({0: 1.0, 1: 0.0}, {0: 1.0, 1: 0.0}) == 0.0
     assert tv_distance({0: 1.0, 1: 0.0}, {0: 0.0, 1: 1.0}) == pytest.approx(1.0)
     assert tv_distance({0: 0.75, 1: 0.25}, {0: 0.25, 1: 0.75}) == pytest.approx(0.5)
+
+
+def test_tv_distance_is_correctly_rounded():
+    # a left-to-right sum gives 0.5 * 0.6000000000000001 = 0.30000000000000004
+    assert tv_distance({0: 0.1, 1: 0.2, 2: 0.3}, {}) == 0.3
 
 
 def test_statistical_match_fair_coin(rng):
