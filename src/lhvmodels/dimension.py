@@ -323,10 +323,9 @@ def run_dimension_model(
         )
 
     # tabulate coarse-grained counts
-    a_par = coarse_x[a_ref]
     b_par = coarse_y[b_ref]
     joint_counts = np.bincount(
-        a_par[fired] * n_y + b_par[fired], minlength=n_x * n_y
+        coarse_x[a_ref[fired]] * n_y + b_par[fired], minlength=n_x * n_y
     ).reshape(n_x, n_y)
 
     # targets from the rank-one closed form, coarse-grained
@@ -376,17 +375,14 @@ def run_dimension_model(
         return tuple(out)
 
     alice_marg = _marginal_checks(
-        np.bincount(a_par[fired], minlength=n_x), n_fired, marg_a_qm, parents_x
+        joint_counts.sum(axis=1), n_fired, marg_a_qm, parents_x
     )
     bob_marg = _marginal_checks(
         np.bincount(b_par, minlength=n_y), samples, marg_b_qm, parents_y
     )
+    b_fired_counts = joint_counts.sum(axis=0)
     bob_cond = tuple(
-        (
-            parents_y[j],
-            float(np.bincount(b_par[fired], minlength=n_y)[j] / n_fired),
-            float(marg_b_qm[j]),
-        )
+        (parents_y[j], float(b_fired_counts[j] / n_fired), float(marg_b_qm[j]))
         for j in range(n_y)
     )
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import comb
 from typing import Any, Iterator, Mapping
@@ -45,7 +46,8 @@ from .quantum import (
     NO_CLICK,
     OutcomeDistribution,
     Scenario,
-    subset_joint_table,
+    all_marginals,
+    split_settings,
 )
 
 # ---------------------------------------------------------------------------
@@ -417,9 +419,14 @@ class MultipartyModel:
     sum_i p_i q_i(k) — evaluated from the solved weights, not from the
     eta-power form it is meant to equal — by the quantum marginal of the
     firing parties at their actual settings (silent parties traced out by
-    identity substitution).  Comparing against the eta-extended quantum
-    distribution therefore checks the linear system and the marginal
-    structure at once.
+    identity substitution).  Every such marginal is a slice of the
+    identity rows of one contraction (:func:`~lhvmodels.quantum.
+    all_marginals`), built on first use; the eta-extended quantum table
+    instead sums click blocks, so comparing the two checks the linear
+    system and the marginal structure at once by independent routes.
+
+    The size guard bounds the exact table, M^N prod_p (A_p + 1) entries,
+    which also bounds the contraction's prod_p (M A_p + 1) entries.
     """
 
     def __init__(self, scenario: Scenario, max_table_entries: int = 2_000_000):
@@ -450,17 +457,24 @@ class MultipartyModel:
         self._alphabets = tuple(
             scenario.alphabet(p) for p in range(self.n)
         )
-        self._table_cache: dict = {}
+
+    @cached_property
+    def _marginals(self) -> np.ndarray:
+        return all_marginals(self.scenario)
 
     def _subset_table(
         self, parties: tuple[int, ...], settings: tuple[int, ...]
     ) -> np.ndarray:
-        key = (parties, settings)
-        if key not in self._table_cache:
-            self._table_cache[key] = subset_joint_table(
-                self.scenario, list(parties), list(settings)
-            )
-        return self._table_cache[key]
+        """The quantum marginal of ``parties`` (increasing) at
+        ``settings``, axes in party order: a read-only view."""
+        chosen = dict(zip(parties, settings))
+        index = tuple(
+            slice(chosen[p] * len(a), (chosen[p] + 1) * len(a))
+            if p in chosen
+            else -1
+            for p, a in enumerate(self._alphabets)
+        )
+        return self._marginals[index]
 
     # ------------------------------------------------------------------
     # exact distribution
@@ -469,10 +483,10 @@ class MultipartyModel:
     def exact_distribution(self) -> OutcomeDistribution:
         """The model's full outcome table over every settings choice.
 
-        Each silent subset and each settings choice of its firing parties
-        writes one slice: the firing parties' quantum marginal times the
-        pattern probability, broadcast over the silent parties' settings,
-        at the NO_CLICK position of the silent parties' outcome axes.
+        Each silent subset writes one slice: the firing parties' quantum
+        marginals at every settings choice of theirs, times the pattern
+        probability, broadcast over the silent parties' settings, at the
+        NO_CLICK position of the silent parties' outcome axes.
         """
         n, m = self.n, self.m
         sizes = [len(a) for a in self._alphabets]
@@ -486,10 +500,14 @@ class MultipartyModel:
             if not firing:
                 probs[(Ellipsis,) + cell] = weight
                 continue
-            for fired in itertools.product(range(m), repeat=len(firing)):
-                chosen = dict(zip(firing, fired))
-                sel = tuple(chosen.get(p, slice(None)) for p in range(n))
-                probs[sel + cell] = weight * self._subset_table(firing, fired)
+            rows = self._marginals[
+                tuple(-1 if silent[p] else slice(-1) for p in range(n))
+            ]
+            marg = split_settings(rows, [m] * len(firing))
+            shape = [1 if silent[p] else m for p in range(n)]
+            probs[(Ellipsis,) + cell] = weight * marg.reshape(
+                shape + [sizes[p] for p in firing]
+            )
         alphabets = tuple(a + (NO_CLICK,) for a in self._alphabets)
         return OutcomeDistribution(alphabets, probs)
 

@@ -11,6 +11,10 @@ outcome alphabet gains a "no click" symbol and a pattern with k silent
 detectors occurs with probability eta^(N-k) (1-eta)^k times the quantum
 marginal on the firing set.
 
+Every quantum table of a scenario is a slice of one contraction
+(:func:`all_marginals`): joint tables in its all-click corner, marginals in
+its identity rows.
+
 Outcome tables (:class:`OutcomeDistribution`) are dense arrays, settings
 axes first and then one outcome axis per party (NO_CLICK last); labels
 appear only at I/O.  Exact-rational tables are object arrays of
@@ -492,26 +496,48 @@ def _stacked_tables(
 
     ``op_stacks[p]`` has shape ``(n_p, d_p, d_p)``; the result has shape
     ``(n_1, ..., n_N)`` with entry Tr((E^1_{a_1} (x) ...) rho), real part.
+
+    Starts from the density tensor D[i, j] = rho_{j i} (psi*_i psi_j for a
+    pure state), bra indices i_1..i_N first, and contracts one party at a
+    time: the ket index j_p against the operators' column index
+    (``tensordot``), then the bra index i_p against their row index (a
+    trace).  This order keeps the cells that cancel exactly, such as the
+    forbidden GHZ outcomes, at exactly 0.0.  Each step holds n_p d_p times
+    the entries of the partly contracted tensor, never the prod (n_p d_p)
+    of a chain that contracts every ket index first.
     """
     n = state.n_parties
-    dims = state.dims
     if state.kind == "pure":
-        psi = state.data.reshape(dims)
-        # indices: i_p -> p, j_p -> n+p, outcome axes a_p -> 2n+p
-        args: list[Any] = [psi.conj(), list(range(n))]
-        for p, ops in enumerate(op_stacks):
-            args += [ops, [2 * n + p, p, n + p]]
-        args += [psi, list(range(n, 2 * n))]
-        out = np.einsum(*args, list(range(2 * n, 3 * n)), optimize=True)
+        density = np.multiply.outer(state.data.conj(), state.data)
     else:
-        rho = state.data.reshape(dims + dims)
-        # Tr(E rho) = sum_{i,k} E_{i k} rho_{k i}: k_p -> p, i_p -> n+p
-        args = []
-        for p, ops in enumerate(op_stacks):
-            args += [ops, [2 * n + p, n + p, p]]
-        args += [rho, list(range(2 * n))]
-        out = np.einsum(*args, list(range(2 * n, 3 * n)), optimize=True)
-    return np.ascontiguousarray(out.real)
+        density = state.data.T
+    # axes: i_p..i_N, j_p..j_N, then the outcome axes of parties < p
+    t = density.reshape(state.dims + state.dims)
+    for p, ops in enumerate(op_stacks):
+        t = np.tensordot(t, ops, axes=([n - p], [2]))
+        t = np.einsum("i...i->...", t)
+    return np.ascontiguousarray(t.real)
+
+
+def all_marginals(scenario: Scenario) -> np.ndarray:
+    """Every quantum table of a scenario, from one contraction.
+
+    Party p's axis has ``M_p * A_p + 1`` entries: index ``x * A_p + a``
+    is outcome position ``a`` of setting ``x``, and the last index
+    substitutes the identity, tracing party p out.  So the all-click
+    corner holds every joint table, and fixing some parties at the last
+    index gives the marginal of the others.  The array is read-only.
+    """
+    stacks = [
+        np.stack(
+            [e for povm in per_party for e in povm.elements]
+            + [np.eye(d, dtype=complex)]
+        )
+        for per_party, d in zip(scenario.settings, scenario.state.dims)
+    ]
+    table = _stacked_tables(scenario.state, stacks)
+    table.setflags(write=False)
+    return table
 
 
 def joint_outcome_table(
@@ -743,14 +769,28 @@ class OutcomeDistribution:
         return dict(zip(itertools.product(*labels), cond.reshape(-1).tolist()))
 
 
+def split_settings(table: np.ndarray, n_settings: Sequence[int]) -> np.ndarray:
+    """View a table whose axis p runs over ``x * A_p + a`` (setting x,
+    outcome position a, as in :func:`all_marginals`) with the settings
+    axes first and the outcome axes after them."""
+    n = len(n_settings)
+    split = table.reshape(
+        [k for m, size in zip(n_settings, table.shape) for k in (m, size // m)]
+    )
+    return split.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
+
+
 def quantum_distribution(scenario: Scenario) -> OutcomeDistribution:
     """The full click-only outcome table of a scenario, for every settings
-    choice, as a float-mode :class:`OutcomeDistribution`."""
-    alphabets = tuple(scenario.alphabet(p) for p in range(scenario.n_parties))
-    probs = np.empty(scenario.n_settings + tuple(len(a) for a in alphabets))
-    for choice in scenario.settings_choices():
-        probs[choice] = joint_outcome_table(scenario, choice)
-    return OutcomeDistribution(alphabets, probs)
+    choice, as a float-mode :class:`OutcomeDistribution`: the all-click
+    corner of :func:`all_marginals`, with each party's axis split into
+    (setting, outcome)."""
+    n = scenario.n_parties
+    alphabets = tuple(scenario.alphabet(p) for p in range(n))
+    corner = all_marginals(scenario)[(slice(-1),) * n]
+    return OutcomeDistribution(
+        alphabets, split_settings(corner, scenario.n_settings)
+    )
 
 
 def extend_with_inefficiency(

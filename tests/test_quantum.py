@@ -19,6 +19,7 @@ from lhvmodels.errors import (
 from lhvmodels.presets import computational_povm, ghz_scenario, random_povm
 from lhvmodels.quantum import (
     NO_CLICK,
+    all_marginals,
     OutcomeDistribution,
     Povm,
     QuantumState,
@@ -260,6 +261,67 @@ def test_distribution_blocks_sum_to_one(chsh):
     dist = quantum_distribution(chsh)
     for choice in dist.settings_choices():
         assert abs(sum(dist.block(choice).values()) - 1.0) < TOL
+
+
+def _marginal_slices(scenario):
+    """Every (parties, settings) pair with its slice of all_marginals and
+    the table subset_joint_table gives for it."""
+    table = all_marginals(scenario)
+    n = scenario.n_parties
+    sizes = [len(scenario.alphabet(p)) for p in range(n)]
+    for k in range(1, n + 1):
+        for parties in itertools.combinations(range(n), k):
+            ranges = (range(scenario.n_settings[p]) for p in parties)
+            for settings in itertools.product(*ranges):
+                chosen = dict(zip(parties, settings))
+                index = tuple(
+                    slice(chosen[p] * sizes[p], (chosen[p] + 1) * sizes[p])
+                    if p in chosen
+                    else -1
+                    for p in range(n)
+                )
+                yield (
+                    parties,
+                    settings,
+                    table[index],
+                    subset_joint_table(scenario, parties, settings),
+                )
+
+
+@pytest.mark.parametrize("case", ["ghz3", "ghz4", "ghz5", "random23"])
+def test_all_marginals_match_per_call_tables(case, random23):
+    scenario = random23 if case == "random23" else ghz_scenario(int(case[-1]))
+    table = all_marginals(scenario)
+    assert table.shape == tuple(
+        m * len(scenario.alphabet(p)) + 1
+        for p, m in enumerate(scenario.n_settings)
+    )
+    assert not table.flags.writeable
+    assert abs(table[(-1,) * scenario.n_parties] - 1.0) < 1e-15
+    zeros = 0
+    for parties, settings, got, want in _marginal_slices(scenario):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-15, (parties, settings)
+        # cells that cancel exactly, such as the forbidden GHZ outcomes
+        assert np.all(got[want == 0.0] == 0.0), (parties, settings)
+        zeros += int(np.count_nonzero(want == 0.0))
+        if len(parties) == scenario.n_parties:
+            joint = joint_outcome_table(scenario, settings)
+            assert np.max(np.abs(got - joint)) <= 1e-15, settings
+    assert (zeros > 0) == case.startswith("ghz")
+
+
+@pytest.mark.parametrize("case", ["chsh", "random23"])
+def test_quantum_distribution_matches_per_choice_loop(case, chsh, random23):
+    scenario = chsh if case == "chsh" else random23
+    alphabets = tuple(scenario.alphabet(p) for p in range(scenario.n_parties))
+    want = np.empty(scenario.n_settings + tuple(len(a) for a in alphabets))
+    for choice in scenario.settings_choices():
+        want[choice] = joint_outcome_table(scenario, choice)
+    dist = quantum_distribution(scenario)
+    assert dist.alphabets == alphabets
+    assert dist.probs.shape == want.shape
+    assert np.max(np.abs(dist.probs - want)) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
