@@ -18,27 +18,36 @@ Subcommands
 
 Conventions
 -----------
-Reports embed the fully resolved run configuration and an ISO timestamp;
-apart from the timestamp, identical configuration and seed reproduce the
-report byte for byte.  Rationals are rendered as ``num/den`` strings,
-floats with 15 significant digits, and the silent outcome as ``∅``.  Long
-scans stream one row per N, flushed immediately.  Exit status: 0 on pass
-or completion, 1 on verification failure, 2 on usage errors (including
-malformed scenario files).
+One writer, ``_write_report``, writes every report and is the only code
+that opens the output; the library work of a command is done before it
+opens.  Reports embed the fully resolved run configuration and an ISO
+timestamp; apart from the timestamp, identical configuration and seed
+reproduce the report byte for byte.  JSON reports have ``json.dump``'s
+``indent=2`` layout; CSV reports start with ``# key=value`` lines.
+Rationals are rendered as ``num/den`` strings, floats with 15 significant
+digits, and the silent outcome as ``∅``.  Scans stream one row per N,
+flushed immediately: CSV rows, or newline-delimited JSON after a config
+line.  Exit status: 0 on pass or completion, 1 on verification failure, 2
+on usage errors (including malformed scenario files, a ``--tol``,
+``--samples`` or ``--d`` out of range, and a report file that cannot be
+opened).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import datetime as _dt
 import itertools
-import json
+import math
 import secrets
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Sequence
+from json.encoder import encode_basestring
+from types import GeneratorType
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -62,46 +71,85 @@ from .verify import compare_float, statistical_match
 
 
 # ---------------------------------------------------------------------------
-# formatting helpers
+# report writing
 # ---------------------------------------------------------------------------
 
-
-def _fmt_float(x: float) -> str:
-    return f"{float(x):.15g}"
-
-
-def _fmt_frac(x: Fraction) -> str:
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
+#: json.dump's spelling of the non-finite floats
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _jsonable(obj: Any) -> Any:
-    """Round floats to 15 significant digits, stringify rationals and
-    outcome labels, recursively; numpy scalars count as their Python
-    values."""
-    if isinstance(obj, np.generic):
-        obj = obj.item()
-    if isinstance(obj, bool) or obj is None:
-        return obj
-    if isinstance(obj, Fraction):
-        return _fmt_frac(obj)
-    if isinstance(obj, float):
-        return float(_fmt_float(obj))
-    if isinstance(obj, (int, str)):
-        return obj
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return str(obj)
+def _renderer(fmt: str) -> Callable[[Any], str]:
+    """One report's scalar renderer: JSON text when ``fmt`` is ``"json"``,
+    else a CSV cell.
+
+    Rationals become ``num/den``, floats keep 15 significant digits (JSON
+    prints the rounded float's repr, so ``100`` in CSV is ``100.0`` in
+    JSON), bools are lowercase, and numpy scalars count as their Python
+    values.  Each distinct float is formatted once per report, except zeros:
+    0.0 and -0.0 compare and hash alike but print differently.
+    """
+    as_json = fmt == "json"
+    memo: dict[float, str] = {}
+
+    def render(x: Any) -> str:
+        if isinstance(x, str):
+            return encode_basestring(x) if as_json else x
+        if isinstance(x, np.generic):
+            x = x.item()
+        if isinstance(x, float):
+            text = memo.get(x)
+            if text is None:
+                text = f"{x:.15g}"
+                if as_json:
+                    text = repr(float(text))
+                    text = _NONFINITE.get(text, text)
+                if x:
+                    memo[x] = text
+            return text
+        if isinstance(x, bool):
+            return "true" if x else "false"
+        if isinstance(x, Fraction):
+            text = f"{x.numerator}/{x.denominator}"
+        elif as_json and (x is None or isinstance(x, int)):
+            return "null" if x is None else int.__repr__(x)
+        else:
+            text = str(x)
+        return encode_basestring(text) if as_json else text
+
+    return render
+
+
+def _emit_json(
+    write: Callable[[str], Any], value: Any, render: Callable[[Any], str],
+    pad: str | None = "",
+) -> None:
+    """Write ``value`` as ``json.dump(..., ensure_ascii=False)`` lays it out:
+    with ``indent=2`` when ``pad`` is the current indentation, on one line
+    when ``pad`` is None.  Lists and tuples become arrays; dicts and
+    generators of (key, value) pairs become objects, a generator written as
+    it is consumed; every other value goes through ``render``."""
+    if isinstance(value, (list, tuple)):
+        items, brackets = enumerate(value), "[]"
+    elif isinstance(value, (dict, GeneratorType)):
+        items = value.items() if isinstance(value, dict) else value
+        brackets = "{}"
+    else:
+        write(render(value))
+        return
+    inner = None if pad is None else pad + "  "
+    first = sep = brackets[0] if pad is None else f"{brackets[0]}\n{inner}"
+    for key, item in items:
+        write(sep if brackets == "[]" else f"{sep}{encode_basestring(str(key))}: ")
+        _emit_json(write, item, render, inner)
+        sep = ", " if pad is None else f",\n{inner}"
+    if sep is first:
+        write(brackets)
+    else:
+        write(brackets[1] if pad is None else f"\n{pad}{brackets[1]}")
 
 
 def _settings_key(settings: Sequence[int]) -> str:
     return ",".join(str(s) for s in settings)
-
-
-def _outcomes_key(outcomes: Sequence[Any]) -> str:
-    return ",".join(format_outcome(o) for o in outcomes)
 
 
 @dataclass(frozen=True)
@@ -129,47 +177,56 @@ def _timestamp() -> str:
     return _dt.datetime.now(_dt.timezone.utc).isoformat()
 
 
-class _Output:
-    """Writable report destination (file path or stdout), UTF-8."""
-
-    def __init__(self, path: str | None):
-        self.path = path
-
-    def __enter__(self):
-        if self.path is None:
-            self._fh = sys.stdout
-            self._close = False
-        else:
-            self._fh = open(self.path, "w", encoding="utf-8", newline="")
-            self._close = True
-        return self._fh
-
-    def __exit__(self, *exc):
-        if self._close:
-            self._fh.close()
-        else:
-            self._fh.flush()
-
-
-def _write_json_report(config: RunConfig, body: dict) -> None:
-    report = {"config": config.to_dict(), "timestamp": _timestamp()}
-    report.update(body)
-    with _Output(config.out) as fh:
-        json.dump(_jsonable(report), fh, indent=2, ensure_ascii=False)
-        fh.write("\n")
-
-
-def _write_csv_report(
-    config: RunConfig, header: Sequence[str], rows: Iterable[Sequence[str]]
+def _write_report(
+    config: RunConfig,
+    body: dict | None,
+    columns: Sequence[str],
+    rows: Iterable[Sequence[Any]],
 ) -> None:
-    with _Output(config.out) as fh:
-        for key, value in config.to_dict().items():
-            fh.write(f"# {key}={value}\n")
-        fh.write(f"# timestamp={_timestamp()}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
+    """Write one report, UTF-8, to ``config.out`` or stdout: the only code
+    that opens the report output.  A file that cannot be opened is a usage
+    error.
+
+    JSON is ``{"config", "timestamp", **body}``; CSV is ``# key=value``
+    configuration lines, the timestamp, then ``columns`` and ``rows``.
+    ``body=None`` marks a streamed report: its JSON form is newline-delimited
+    (a config line, then one object per row keyed by ``columns``), and each
+    row is flushed as soon as it is written.
+    """
+    as_csv = config.fmt == "csv"
+    render = _renderer(config.fmt)
+    head = {"config": config.to_dict(), "timestamp": _timestamp()}
+    try:
+        out = (
+            contextlib.nullcontext(sys.stdout) if config.out is None
+            else open(config.out, "w", encoding="utf-8", newline="")
+        )
+    except OSError as exc:
+        raise DomainError(f"cannot write report: {exc}") from exc
+    with out as fh:
+        if as_csv:
+            for key, value in head["config"].items():
+                fh.write(f"# {key}={value}\n")
+            fh.write(f"# timestamp={head['timestamp']}\n")
+            writer = csv.writer(fh)
+            writer.writerow(columns)
+        elif body is None:
+            _emit_json(fh.write, head, render, None)
+            fh.write("\n")
+        else:
+            _emit_json(fh.write, {**head, **body}, render)
+            fh.write("\n")
+            rows = ()  # a JSON report's rows are in its body
+        fh.flush()
         for row in rows:
-            writer.writerow(row)
+            if as_csv:
+                writer.writerow([render(v) for v in row])
+            else:
+                _emit_json(fh.write, dict(zip(columns, row)), render, None)
+                fh.write("\n")
+            if body is None:
+                fh.flush()
+        fh.flush()
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +371,7 @@ def _cmd_bounds(args) -> int:
     if args.two_party:
         if not args.ma or not args.mb:
             raise DomainError("bounds --two-party needs --ma and --mb")
-        header = ("ma", "mb", "eta")
+        columns = ("ma", "mb", "eta")
         for ma in args.ma:
             for mb in args.mb:
                 rows.append((ma, mb, _bounds.eta_two_party(ma, mb)))
@@ -322,7 +379,7 @@ def _cmd_bounds(args) -> int:
     elif args.multiparty:
         if not args.n or not args.m:
             raise DomainError("bounds --multiparty needs --n and --m")
-        header = ("n", "m", "eta")
+        columns = ("n", "m", "eta")
         for n in args.n:
             for m in args.m:
                 rows.append((n, m, _bounds.eta_multiparty(n, m)))
@@ -330,7 +387,7 @@ def _cmd_bounds(args) -> int:
     elif args.all_click:
         if not args.n or not args.m:
             raise DomainError("bounds --all-click needs --n and --m")
-        header = ("n", "m", "eta")
+        columns = ("n", "m", "eta")
         for n in args.n:
             for m in args.m:
                 rows.append((n, m, _bounds.eta_all_click(n, m)))
@@ -338,7 +395,7 @@ def _cmd_bounds(args) -> int:
     else:
         if not args.d or not args.epsilon:
             raise DomainError("bounds --dimension needs --d and --epsilon")
-        header = ("d", "epsilon", "mode", "eta")
+        columns = ("d", "epsilon", "mode", "eta")
         for d in args.d:
             for eps in args.epsilon:
                 rows.append(
@@ -352,67 +409,81 @@ def _cmd_bounds(args) -> int:
             "bound_mode": args.bound_mode,
         }
     config = RunConfig("bounds", params, None, args.out, args.fmt)
-    if args.fmt == "json":
-        body = {"columns": list(header), "rows": [list(r) for r in rows]}
-        _write_json_report(config, body)
-    else:
-        _write_csv_report(
-            config,
-            header,
-            (tuple(_cell(v) for v in row) for row in rows),
-        )
+    _write_report(config, {"columns": columns, "rows": rows}, columns, rows)
     return 0
 
 
-def _cell(v: Any) -> str:
-    if isinstance(v, Fraction):
-        return _fmt_frac(v)
-    if isinstance(v, float):
-        return _fmt_float(v)
-    return str(v)
+def _check_tol(tol: float) -> None:
+    if not 0 <= tol < math.inf:
+        raise DomainError(f"--tol must be finite and >= 0, got {tol}")
 
 
-def _comparison_tables(model_dist, target_dist, tol):
-    """Entrywise comparison plus a per-settings breakdown table."""
-    report = compare_float(model_dist, target_dist, tol=tol)
-    keys = [_outcomes_key(o) for o in itertools.product(*model_dist.alphabets)]
+def _comparison_tables(model_dist, target_dist):
+    """Per settings choice, in C order: the settings key, the largest
+    |model - target|, and (outcomes key, model, target, |model - target|)
+    for every cell, in sorted key order."""
+    keys = [
+        ",".join(map(format_outcome, o))
+        for o in itertools.product(*model_dist.alphabets)
+    ]
     order = sorted(range(len(keys)), key=keys.__getitem__)
-    per_setting: dict[str, Any] = {}
     for choice in model_dist.settings_choices():
         model = model_dist.probs[choice].reshape(-1)
         target = target_dist.probs[choice].reshape(-1)
         errors = np.abs(model - target)
         m, t, e = model.tolist(), target.tolist(), errors.tolist()
-        per_setting[_settings_key(choice)] = {
-            "max_abs_error": float(errors.max()),
-            "table": {
-                keys[i]: {"model": m[i], "target": t[i], "abs_error": e[i]}
-                for i in order
-            },
-        }
-    return report, per_setting
+        yield _settings_key(choice), float(errors.max()), [
+            (keys[i], m[i], t[i], e[i]) for i in order
+        ]
 
 
-def _conditional_check(model_dist, quantum_dist, tol):
-    """Conditional-on-all-clicks distribution against the quantum joint."""
+#: CSV columns of the verify reports: one row per cell of the comparison
+_VERIFY_COLUMNS = ("settings", "outcomes", "model", "target", "abs_error")
+
+
+def _verify_model(model, scenario, tol):
+    """Compare a model's exact table with the eta-extended quantum table,
+    and its all-clicks conditional with the quantum table itself.
+
+    Returns the report entries ``comparison``, ``conditional_on_clicks``
+    and ``per_setting``, the same per-setting table as rows under
+    :data:`_VERIFY_COLUMNS` (both lazy), the model's table, and whether
+    both checks pass.
+    """
+    quantum = quantum_distribution(scenario)
+    target = extend_with_inefficiency(quantum, float(model.eta))
+    model_dist = model.exact_distribution()
+    report = compare_float(model_dist, target, tol=tol)
     cond = model_dist.all_click_conditional()
-    worst = float(np.max(np.abs(cond - quantum_dist.probs)))
-    return {"max_abs_error": worst, "pass": worst <= tol}
-
-
-def _verify_rows(per_setting) -> Iterable[tuple]:
-    for skey, data in per_setting.items():
-        for okey, entry in data["table"].items():
-            yield (
-                skey,
-                okey,
-                _fmt_float(entry["model"]),
-                _fmt_float(entry["target"]),
-                _fmt_float(entry["abs_error"]),
-            )
+    cond_error = float(np.max(np.abs(cond - quantum.probs)))
+    entries = {
+        "comparison": report.to_dict(),
+        "conditional_on_clicks": {
+            "max_abs_error": cond_error, "pass": cond_error <= tol
+        },
+        "per_setting": (
+            (skey, {
+                "max_abs_error": worst,
+                "table": (
+                    (okey, {"model": m, "target": t, "abs_error": e})
+                    for okey, m, t, e in cells
+                ),
+            })
+            for skey, worst, cells in _comparison_tables(model_dist, target)
+        ),
+    }
+    rows = (
+        (skey, *cell)
+        for skey, _, cells in _comparison_tables(model_dist, target)
+        for cell in cells
+    )
+    return entries, rows, model_dist, report.passed and cond_error <= tol
 
 
 def _cmd_two_party_verify(args) -> int:
+    _check_tol(args.tol)
+    if args.samples is not None and args.samples < 1:
+        raise DomainError(f"--samples must be >= 1, got {args.samples}")
     scenario = load_scenario(args.scenario)
     seed = args.seed
     if args.samples and seed is None:
@@ -424,18 +495,8 @@ def _cmd_two_party_verify(args) -> int:
     }
     config = RunConfig("two-party verify", params, seed, args.out, args.fmt)
     model = TwoPartyModel(scenario)
-    quantum = quantum_distribution(scenario)
-    target = extend_with_inefficiency(quantum, float(model.eta))
-    model_dist = model.exact_distribution()
-    report, per_setting = _comparison_tables(model_dist, target, args.tol)
-    conditional = _conditional_check(model_dist, quantum, args.tol)
-    passed = report.passed and conditional["pass"]
-    body: dict[str, Any] = {
-        "eta": model.eta,
-        "comparison": report.to_dict(),
-        "conditional_on_clicks": conditional,
-        "per_setting": per_setting,
-    }
+    entries, rows, model_dist, passed = _verify_model(model, scenario, args.tol)
+    body: dict[str, Any] = {"eta": model.eta, **entries}
     if args.samples:
         rng = np.random.default_rng(seed)
         checks = {}
@@ -451,14 +512,7 @@ def _cmd_two_party_verify(args) -> int:
             "checks": checks,
         }
     body["pass"] = passed
-    if args.fmt == "json":
-        _write_json_report(config, body)
-    else:
-        _write_csv_report(
-            config,
-            ("settings", "outcomes", "model", "target", "abs_error"),
-            _verify_rows(per_setting),
-        )
+    _write_report(config, body, _VERIFY_COLUMNS, rows)
     return 0 if passed else 1
 
 
@@ -467,26 +521,16 @@ def _cmd_multiparty_solve(args) -> int:
     config = RunConfig(
         "multiparty solve", {"n": args.n, "m": args.m}, None, args.out, args.fmt
     )
-    if args.fmt == "json":
-        _write_json_report(
-            config,
-            {
-                "eta": mixture.eta,
-                "weights": {str(i): mixture.weights[i] for i in sorted(mixture.weights)},
-                "r_sequence": list(mixture.r_sequence),
-            },
-        )
-    else:
-        rows = [("eta", "", _fmt_frac(mixture.eta))]
-        rows += [
-            ("weight", str(i), _fmt_frac(mixture.weights[i]))
-            for i in sorted(mixture.weights)
-        ]
-        rows += [
-            ("r", str(k), _fmt_frac(v))
-            for k, v in enumerate(mixture.r_sequence)
-        ]
-        _write_csv_report(config, ("kind", "index", "value"), rows)
+    weights = {str(i): mixture.weights[i] for i in sorted(mixture.weights)}
+    body = {
+        "eta": mixture.eta,
+        "weights": weights,
+        "r_sequence": list(mixture.r_sequence),
+    }
+    rows = [("eta", "", mixture.eta)]
+    rows += [("weight", i, w) for i, w in weights.items()]
+    rows += [("r", k, v) for k, v in enumerate(mixture.r_sequence)]
+    _write_report(config, body, ("kind", "index", "value"), rows)
     return 0
 
 
@@ -504,62 +548,22 @@ def _cmd_multiparty_scan(args, parser) -> int:
     config = RunConfig("multiparty scan", params, None, args.out, args.fmt)
     # checked before the report is opened, so bad input writes nothing
     check_scan_args(args.n_max, mode=mode, m=args.m, n_min=args.n_min)
-    all_pass = True
-    rows = positivity_scan(args.n_max, mode=mode, m=args.m, n_min=args.n_min)
-    with _Output(args.out) as fh:
-        if args.fmt == "csv":
-            for key, value in config.to_dict().items():
-                fh.write(f"# {key}={value}\n")
-            fh.write(f"# timestamp={_timestamp()}\n")
-            writer = csv.writer(fh)
-            writer.writerow(("n", "mode", "min_value", "argmin_k", "pass"))
-            fh.flush()
-            for row in rows:
-                all_pass = all_pass and row.passed
-                writer.writerow(
-                    (
-                        row.n,
-                        row.mode,
-                        _fmt_frac(row.min_value),
-                        row.argmin_k,
-                        str(row.passed).lower(),
-                    )
-                )
-                fh.flush()
-        else:
-            # newline-delimited JSON: config first, then one row per N
-            fh.write(
-                json.dumps(
-                    _jsonable(
-                        {"config": config.to_dict(), "timestamp": _timestamp()}
-                    ),
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
-            fh.flush()
-            for row in rows:
-                all_pass = all_pass and row.passed
-                fh.write(
-                    json.dumps(
-                        _jsonable(
-                            {
-                                "n": row.n,
-                                "mode": row.mode,
-                                "min_value": row.min_value,
-                                "argmin_k": row.argmin_k,
-                                "pass": row.passed,
-                            }
-                        ),
-                        ensure_ascii=False,
-                    )
-                    + "\n"
-                )
-                fh.flush()
-    return 0 if all_pass else 1
+    failed = []
+
+    def rows():
+        for row in positivity_scan(args.n_max, mode=mode, m=args.m, n_min=args.n_min):
+            if not row.passed:
+                failed.append(row.n)
+            yield row.n, row.mode, row.min_value, row.argmin_k, row.passed
+
+    _write_report(
+        config, None, ("n", "mode", "min_value", "argmin_k", "pass"), rows()
+    )
+    return 1 if failed else 0
 
 
 def _cmd_multiparty_verify(args) -> int:
+    _check_tol(args.tol)
     scenario = load_scenario(args.scenario)
     config = RunConfig(
         "multiparty verify",
@@ -569,39 +573,24 @@ def _cmd_multiparty_verify(args) -> int:
         args.fmt,
     )
     model = MultipartyModel(scenario)
-    quantum = quantum_distribution(scenario)
-    target = extend_with_inefficiency(quantum, float(model.eta))
-    model_dist = model.exact_distribution()
-    report, per_setting = _comparison_tables(model_dist, target, args.tol)
-    conditional = _conditional_check(model_dist, quantum, args.tol)
-    passed = report.passed and conditional["pass"]
-    if args.fmt == "json":
-        _write_json_report(
-            config,
-            {
-                "eta": model.eta,
-                "n": model.n,
-                "m": model.m,
-                "weights": {
-                    str(i): model.mixture.weights[i]
-                    for i in sorted(model.mixture.weights)
-                },
-                "comparison": report.to_dict(),
-                "conditional_on_clicks": conditional,
-                "per_setting": per_setting,
-                "pass": passed,
-            },
-        )
-    else:
-        _write_csv_report(
-            config,
-            ("settings", "outcomes", "model", "target", "abs_error"),
-            _verify_rows(per_setting),
-        )
+    entries, rows, _, passed = _verify_model(model, scenario, args.tol)
+    body = {
+        "eta": model.eta,
+        "n": model.n,
+        "m": model.m,
+        "weights": {
+            str(i): model.mixture.weights[i] for i in sorted(model.mixture.weights)
+        },
+        **entries,
+        "pass": passed,
+    }
+    _write_report(config, body, _VERIFY_COLUMNS, rows)
     return 0 if passed else 1
 
 
 def _cmd_dim_model_verify(args) -> int:
+    if args.d < 2:
+        raise DomainError(f"need dimension >= 2, got {args.d}")
     seed = args.seed if args.seed is not None else secrets.randbits(63)
     if args.delta is not None:
         delta = args.delta
@@ -634,26 +623,17 @@ def _cmd_dim_model_verify(args) -> int:
     report = run_dimension_model(
         args.d, delta, x_povm, y_povm, args.samples, np.random.default_rng(seed)
     )
-    if args.fmt == "json":
-        _write_json_report(config, report.to_dict())
-    else:
-        rows = [
-            (
-                c.to_dict()["a"],
-                c.to_dict()["b"],
-                _fmt_float(c.empirical),
-                _fmt_float(c.target),
-                _fmt_float(c.bound),
-                _fmt_float(c.sigma),
-                str(c.passed).lower(),
-            )
-            for c in report.cells
-        ]
-        _write_csv_report(
-            config,
-            ("a", "b", "empirical", "target", "bound", "sigma", "pass"),
-            rows,
-        )
+    rows = (
+        (str(c.outcome_a), str(c.outcome_b), c.empirical, c.target, c.bound,
+         c.sigma, c.passed)
+        for c in report.cells
+    )
+    _write_report(
+        config,
+        report.to_dict(),
+        ("a", "b", "empirical", "target", "bound", "sigma", "pass"),
+        rows,
+    )
     return 0 if report.passed else 1
 
 

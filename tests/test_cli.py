@@ -1,13 +1,19 @@
 """End-to-end CLI checks: report formats, exit codes, reproducibility."""
 
+import csv
+import io
 import json
+import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from lhvmodels import cli
 from lhvmodels.cli import main
+from lhvmodels.multiparty import ScanRow
 from lhvmodels.presets import dimension_scenario, random_two_party_scenario
 from lhvmodels.quantum import scenario_to_json
 
@@ -132,6 +138,56 @@ def test_multiparty_scan_bad_arguments_write_nothing(tmp_path, capsys, bad, fmt)
     assert captured.out == ""
     assert "lhv:" in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["two-party", "verify", "--tol", "nan"], "--tol"),
+        (["two-party", "verify", "--tol", "inf"], "--tol"),
+        (["two-party", "verify", "--tol", "-1"], "--tol"),
+        (["two-party", "verify", "--samples", "0"], "--samples"),
+        (["two-party", "verify", "--samples", "-5"], "--samples"),
+        (["multiparty", "verify", "--tol", "nan"], "--tol"),
+        (["multiparty", "verify", "--tol", "-0.001"], "--tol"),
+    ],
+)
+def test_verify_bad_arguments_write_nothing(tmp_path, capsys, argv, message):
+    # the scenario does not exist: the arguments are checked before loading it
+    out = tmp_path / "bad.json"
+    argv = argv + ["--scenario", str(tmp_path / "missing.json")]
+    assert main(argv) == 2
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "lhv:" in captured.err and message in captured.err
+    assert "malformed scenario" not in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("d", ["0", "-1"])
+def test_dim_model_rejects_small_dimension(capsys, d):
+    assert main(["dim-model", "verify", "--d", d, "--delta", "0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "lhv: need dimension >= 2" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--two-party", "--ma", "2", "--mb", "2"],
+        ["multiparty", "scan", "--n-max", "4"],
+        ["multiparty", "scan", "--n-max", "4", "--format", "csv"],
+    ],
+)
+def test_unwritable_report_file_is_a_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "r.json"
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "lhv: cannot write report:" in captured.err
+    assert not out.parent.exists()
 
 
 def test_two_party_verify_passes(chsh_file, capsys):
@@ -291,3 +347,130 @@ def test_installed_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "2,2,2/3" in proc.stdout
+
+
+def _float_leaves(node):
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        for value in node:
+            yield from _float_leaves(value)
+    elif isinstance(node, float):
+        yield node
+
+
+def _layout_cases(chsh_file, ghz_file):
+    return [
+        ["bounds", "--two-party", "--ma", "2:3", "--mb", "2:3"],
+        ["bounds", "--multiparty", "--n", "2:4", "--m", "2:3"],
+        ["bounds", "--all-click", "--n", "2:3", "--m", "2"],
+        ["bounds", "--dimension", "--d", "2:3", "--epsilon", "0.5,1.0"],
+        ["bounds", "--dimension", "--d", "2", "--epsilon", "0.5",
+         "--bound-mode", "exact_from_delta"],
+        ["multiparty", "solve", "--n", "4", "--m", "3"],
+        ["multiparty", "scan", "--n-max", "6"],
+        ["multiparty", "scan", "--n-max", "5", "--mode", "fixed", "--m", "3"],
+        ["two-party", "verify", "--scenario", chsh_file],
+        ["two-party", "verify", "--scenario", chsh_file, "--samples", "2000",
+         "--seed", "3"],
+        ["multiparty", "verify", "--scenario", ghz_file],
+        ["dim-model", "verify", "--d", "2", "--delta", "0.5236",
+         "--samples", "4000", "--seed", "31"],
+        ["dim-model", "verify", "--d", "3", "--epsilon", "2.0",
+         "--samples", "4000", "--seed", "5"],
+    ]
+
+
+def test_report_layout_matches_the_standard_encoders(chsh_file, ghz_file, capsys):
+    # independent oracles: the stdlib json encoder, and the csv reader
+    for argv in _layout_cases(chsh_file, ghz_file):
+        assert main(argv) in (0, 1), argv
+        text = capsys.readouterr().out
+        if argv[1] == "scan":
+            lines = text.splitlines()
+            for line in lines:
+                assert line == json.dumps(json.loads(line), ensure_ascii=False)
+            reports = [json.loads(line) for line in lines]
+        else:
+            report = json.loads(text)
+            assert text == json.dumps(report, indent=2, ensure_ascii=False) + "\n"
+            reports = [report]
+            for block in report.get("per_setting", {}).values():
+                assert list(block["table"]) == sorted(block["table"])
+        for x in _float_leaves(reports):
+            assert float(f"{x:.15g}") == x, (argv, x)
+
+        assert main(argv + ["--format", "csv"]) in (0, 1), argv
+        lines = capsys.readouterr().out.splitlines()
+        comments = [line for line in lines if line.startswith("# ")]
+        assert comments[-1].startswith("# timestamp=")
+        assert lines[: len(comments)] == comments
+        header, *rows = csv.reader(io.StringIO("\n".join(lines[len(comments):])))
+        assert rows and all(len(row) == len(header) for row in rows), argv
+        for cell in (c for row in rows for c in row):
+            try:
+                x = float(cell)
+            except ValueError:
+                continue
+            assert f"{x:.15g}" == cell, (argv, cell)
+
+
+def _emitted(value, pad=""):
+    parts = []
+    cli._emit_json(parts.append, value, cli._renderer("json"), pad)
+    return "".join(parts)
+
+
+def test_json_emitter_matches_json_dumps():
+    tree = {
+        "empty_dict": {},
+        "empty_list": [],
+        "nested": {"a": [1, [2, {}], {"b": [[]]}], "c": {"d": {"e": "f"}}},
+        "text": 'say "∅" \\ done\n\t\u0001',
+        "zeros": [0.0, -0.0, 0.0, -0.0],
+        "floats": [0.1, 0.1, 1e-17, 100.0, 1.5e300, -2.5],
+        "nonfinite": [math.inf, -math.inf],
+        "ints": [0, -7, 2**80, -(2**70)],
+        "flags": [True, False, None],
+        "∅": "unicode key",
+    }
+    expected = json.dumps(tree, indent=2, ensure_ascii=False)
+    assert _emitted(tree) == expected
+    assert _emitted((k, v) for k, v in tree.items()) == expected
+    assert _emitted(tree, None) == json.dumps(tree, ensure_ascii=False)
+    assert _emitted(x for x in ()) == "{}"
+    assert _emitted({"nan": math.nan}) == json.dumps({"nan": math.nan}, indent=2)
+    numpy_scalars = [np.float64(0.1), np.float64(-0.0), np.int64(3), np.bool_(True)]
+    assert _emitted(numpy_scalars) == json.dumps([0.1, -0.0, 3, True], indent=2)
+    # 15 significant digits, then the JSON repr of the rounded float
+    assert _emitted([0.1 + 0.2, Fraction(2, 3)]) == json.dumps(
+        [0.3, "2/3"], indent=2
+    )
+    csv_cell = cli._renderer("csv")
+    assert [csv_cell(v) for v in (100.0, -0.0, 0.1 + 0.2, Fraction(2, 3), True)] == [
+        "100", "-0", "0.3", "2/3", "true"
+    ]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_multiparty_scan_flushes_each_row(tmp_path, monkeypatch, fmt):
+    out = tmp_path / "scan.out"
+    seen = []
+
+    def scan(n_max, **kwargs):
+        yield ScanRow(2, "all_M_via_r", Fraction(0), 1, True)
+        seen.append(out.read_text(encoding="utf-8"))
+        raise RuntimeError("scan interrupted")
+
+    monkeypatch.setattr(cli, "positivity_scan", scan)
+    with pytest.raises(RuntimeError):
+        main(["multiparty", "scan", "--n-max", "5", "--format", fmt,
+              "--out", str(out)])
+    last = seen[0].splitlines()[-1]
+    if fmt == "csv":
+        assert last == "2,all_M_via_r,0/1,1,true"
+    else:
+        assert json.loads(last) == {
+            "n": 2, "mode": "all_M_via_r", "min_value": "0/1", "argmin_k": 1,
+            "pass": True,
+        }
