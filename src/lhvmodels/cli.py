@@ -9,12 +9,15 @@ Subcommands
 ``lhv two-party verify``
     Build the two-party model for a scenario file and compare it against
     the eta-extended quantum distribution; optionally also check the
-    sampler statistically.
+    sampler statistically, drawing and counting each settings block in
+    chunks of at most ``quantum.CHUNK`` draws, so memory does not grow
+    with ``--samples``.
 ``lhv multiparty solve | scan | verify``
     Exact mixture weights for one (N, M); the streaming positivity scan;
     the exact N-party model against the eta-extended quantum distribution.
 ``lhv dim-model verify``
-    Monte Carlo run of the dimension-dependent model.
+    Monte Carlo run of the dimension-dependent model, also counted in
+    chunks.
 
 Conventions
 -----------
@@ -28,9 +31,9 @@ Rationals are rendered as ``num/den`` strings, floats with 15 significant
 digits, and the silent outcome as ``∅``.  Scans stream one row per N,
 flushed immediately: CSV rows, or newline-delimited JSON after a config
 line.  Exit status: 0 on pass or completion, 1 on verification failure, 2
-on usage errors (including malformed scenario files, a ``--tol``,
-``--samples`` or ``--d`` out of range, and a report file that cannot be
-opened).
+on usage errors (including malformed scenario files, a ``--tol`` or
+``--d`` out of range, a ``two-party verify --samples`` below
+``verify.MIN_SAMPLES``, and a report file that cannot be opened).
 """
 
 from __future__ import annotations
@@ -61,13 +64,14 @@ from .multiparty import (
     solve_weights,
 )
 from .quantum import (
+    chunk_sizes,
     extend_with_inefficiency,
     format_outcome,
     load_scenario,
     quantum_distribution,
 )
 from .two_party import TwoPartyModel
-from .verify import compare_float, statistical_match
+from .verify import MIN_SAMPLES, compare_float, statistical_match
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_two_verify.add_argument(
         "--samples",
         type=int,
-        help="also draw this many samples per settings pair and test 3-sigma",
+        help=f"also draw this many samples (at least {MIN_SAMPLES}) per "
+        "settings pair and test 3-sigma",
     )
     p_two_verify.add_argument(
         "--tol", type=float, default=1e-10, help="entrywise tolerance (default 1e-10)"
@@ -482,8 +487,11 @@ def _verify_model(model, scenario, tol):
 
 def _cmd_two_party_verify(args) -> int:
     _check_tol(args.tol)
-    if args.samples is not None and args.samples < 1:
-        raise DomainError(f"--samples must be >= 1, got {args.samples}")
+    if args.samples is not None and args.samples < MIN_SAMPLES:
+        raise DomainError(
+            f"--samples must be >= {MIN_SAMPLES} (the statistical check's "
+            f"normal approximation), got {args.samples}"
+        )
     scenario = load_scenario(args.scenario)
     seed = args.seed
     if args.samples and seed is None:
@@ -499,12 +507,21 @@ def _cmd_two_party_verify(args) -> int:
     body: dict[str, Any] = {"eta": model.eta, **entries}
     if args.samples:
         rng = np.random.default_rng(seed)
+        # tabulate's key order: outcome codes ascending, the silent one first
+        order = list(itertools.product(
+            *((alph[-1],) + alph[:-1] for alph in model_dist.alphabets)
+        ))
         checks = {}
         for choice in model_dist.settings_choices():
-            counts = model.tabulate(
-                model.sample_many(choice, args.samples, rng)
+            counts = dict.fromkeys(order, 0)
+            for c in chunk_sizes(args.samples):
+                chunk = model.tabulate(model.sample_many(choice, c, rng))
+                for key, k in chunk.items():
+                    counts[key] += k
+            stat = statistical_match(
+                {key: k for key, k in counts.items() if k},
+                model_dist.block(choice),
             )
-            stat = statistical_match(counts, model_dist.block(choice))
             checks[_settings_key(choice)] = stat.to_dict()
             passed = passed and stat.passed
         body["sampling"] = {

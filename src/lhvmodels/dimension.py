@@ -18,12 +18,14 @@ of marginals, while both marginals are reproduced exactly.  Symmetrizing
 the roles gives detector efficiency eta = 2Q/(1+Q) >= (epsilon/4d)^(2(d-1)).
 
 :func:`run_dimension_model` estimates all of this by vectorized Monte
-Carlo and reports per-cell empirical probabilities, targets, error bounds,
-and three-sigma statistical margins.
+Carlo, counted chunk by chunk in bounded memory, and reports per-cell
+empirical probabilities, targets, error bounds, and three-sigma
+statistical margins.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from typing import Any, Sequence
@@ -32,9 +34,11 @@ import numpy as np
 
 from .errors import DomainError, InvariantViolation, ZeroFiringError
 from .quantum import (
+    CHUNK,
     NO_CLICK,
     Povm,
     RankOnePovmElement,
+    chunk_sizes,
     haar_random_state,
     refine_to_rank_one,
 )
@@ -273,8 +277,12 @@ def run_dimension_model(
 
     Both POVMs are refined to rank one internally; statistics are
     accumulated per refined element and coarse-grained back to the parent
-    outcome labels.  Draw order per batch: hidden states, Alice's outcome
-    uniforms, Bob's outcome uniforms — so a fixed seed reproduces the run.
+    outcome labels.  Draw order: all hidden states, then Alice's outcome
+    uniforms, then Bob's outcome uniforms — so a fixed seed reproduces the
+    run.  The draws are made and counted in chunks of at most
+    :data:`~lhvmodels.quantum.CHUNK`, so memory does not grow with
+    ``samples``; the chunks consume exactly the stream one batch of
+    ``samples`` would, and leave ``rng`` where that batch would.
 
     Raises :class:`ZeroFiringError` if no hidden state passes Alice's
     threshold (delta too small for the sample budget).
@@ -294,39 +302,57 @@ def run_dimension_model(
     parents_y, coarse_y = _coarse_map(labels_y)
     n_x, n_y = len(parents_x), len(parents_y)
 
-    phi = haar_random_state(d, rng, size=samples)
+    # One batch would draw every hidden state's normals, then all of
+    # Alice's uniforms, then all of Bob's.  The chunks consume that same
+    # stream: a first pass skips the first two segments on ``rng`` (into one
+    # reused buffer), keeping a copy of the generator at the start of each,
+    # so ``rng`` is left where one batch would leave it.
+    skip = np.empty(2 * d * min(samples, CHUNK))
+    normal_rng = copy.deepcopy(rng)
+    for c in chunk_sizes(samples):
+        rng.standard_normal(out=skip[: 2 * d * c])
+    alice_rng = copy.deepcopy(rng)
+    for c in chunk_sizes(samples):
+        rng.random(out=skip[:c])
 
-    # Alice: outcome first (prob |x_a|/d), then the overlap threshold
     cum_x = np.cumsum(wx / d)
     cum_x[-1] = 1.0
-    a_ref = np.searchsorted(cum_x, rng.random(samples), side="right")
-    a_ref = np.minimum(a_ref, len(wx) - 1)
-    overlap = np.abs(np.sum(phi.conj() * dir_x[a_ref], axis=1)) ** 2
-    fired = overlap >= math.cos(delta) ** 2
-    n_fired = int(np.count_nonzero(fired))
+    cos2_delta = math.cos(delta) ** 2
+    n_fired = 0
+    joint_counts = np.zeros(n_x * n_y, dtype=np.int64)
+    bob_counts = np.zeros(n_y, dtype=np.int64)
+    for c in chunk_sizes(samples):
+        phi = haar_random_state(d, normal_rng, size=c)
 
-    # Bob: probability |y_b| |<phi*|y_b>|^2, phi* relative to the basis
-    # in which the shared state is (1/sqrt d) sum |ii>
-    amp = phi @ dir_y.T  # <phi*|y_b> = sum_i phi_i y_i
-    w_bob = wy * np.abs(amp) ** 2
-    w_bob /= w_bob.sum(axis=1, keepdims=True)
-    cum_bob = np.cumsum(w_bob, axis=1)
-    cum_bob[:, -1] = 1.0
-    u = rng.random(samples)
-    b_ref = np.sum(u[:, None] > cum_bob, axis=1)
-    b_ref = np.minimum(b_ref, len(wy) - 1)
+        # Alice: outcome first (prob |x_a|/d), then the overlap threshold
+        a_ref = np.searchsorted(cum_x, alice_rng.random(c), side="right")
+        a_ref = np.minimum(a_ref, len(wx) - 1)
+        overlap = np.abs(np.sum(phi.conj() * dir_x[a_ref], axis=1)) ** 2
+        fired = overlap >= cos2_delta
+
+        # Bob: probability |y_b| |<phi*|y_b>|^2, phi* relative to the basis
+        # in which the shared state is (1/sqrt d) sum |ii>
+        amp = phi @ dir_y.T  # <phi*|y_b> = sum_i phi_i y_i
+        w_bob = wy * np.abs(amp) ** 2
+        w_bob /= w_bob.sum(axis=1, keepdims=True)
+        cum_bob = np.cumsum(w_bob, axis=1)
+        cum_bob[:, -1] = 1.0
+        u = rng.random(c)
+        b_ref = np.sum(u[:, None] > cum_bob, axis=1)
+        b_par = coarse_y[np.minimum(b_ref, len(wy) - 1)]
+
+        n_fired += int(np.count_nonzero(fired))
+        joint_counts += np.bincount(
+            coarse_x[a_ref[fired]] * n_y + b_par[fired], minlength=n_x * n_y
+        )
+        bob_counts += np.bincount(b_par, minlength=n_y)
 
     if n_fired == 0:
         raise ZeroFiringError(
             f"no hidden state passed the threshold in {samples} samples "
             f"(d={d}, delta={delta:.4g}, expected rate {params.fire_prob:.3e})"
         )
-
-    # tabulate coarse-grained counts
-    b_par = coarse_y[b_ref]
-    joint_counts = np.bincount(
-        coarse_x[a_ref[fired]] * n_y + b_par[fired], minlength=n_x * n_y
-    ).reshape(n_x, n_y)
+    joint_counts = joint_counts.reshape(n_x, n_y)
 
     # targets from the rank-one closed form, coarse-grained
     gram = dir_x @ dir_y.T  # <x_a*|y_b> as a conjugation-free dot product
@@ -378,7 +404,7 @@ def run_dimension_model(
         joint_counts.sum(axis=1), n_fired, marg_a_qm, parents_x
     )
     bob_marg = _marginal_checks(
-        np.bincount(b_par, minlength=n_y), samples, marg_b_qm, parents_y
+        bob_counts, samples, marg_b_qm, parents_y
     )
     b_fired_counts = joint_counts.sum(axis=0)
     bob_cond = tuple(

@@ -38,7 +38,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -57,6 +57,9 @@ POVM_TOL = 1e-10
 RANK_ONE_CUTOFF = 1e-12
 #: Per-settings-block normalization tolerance of float distributions.
 BLOCK_SUM_TOL = 1e-12
+#: Monte Carlo samplers draw and count at most this many draws at a time,
+#: so their memory does not grow with the number of samples.
+CHUNK = 1 << 16
 
 
 class _NoClick:
@@ -233,6 +236,11 @@ def haar_random_state(
     z = g[..., 0] + 1j * g[..., 1]
     z /= np.linalg.norm(z, axis=1, keepdims=True)
     return z[0] if size is None else z
+
+
+def chunk_sizes(n: int) -> Iterator[int]:
+    """Split ``n`` draws into consecutive chunks of at most :data:`CHUNK`."""
+    return (min(CHUNK, n - start) for start in range(0, n, CHUNK))
 
 
 def conjugate_in_schmidt_basis(v: np.ndarray) -> np.ndarray:

@@ -279,6 +279,14 @@ class TwoPartyModel:
         encoding the silent outcome.  The draw order is fixed (gate, role,
         guessed setting, guessed outcome, partner response — one uniform
         each per sample), so a fixed seed reproduces the transcript.
+
+        Memory grows with ``n``: one ``(5, n)`` block of uniforms and a few
+        arrays of ``n`` entries.  To count many draws in bounded memory,
+        call it on chunks of at most :data:`~lhvmodels.quantum.CHUNK` draws
+        and add up each chunk's :meth:`tabulate`, as ``lhv two-party
+        verify --samples`` does.  Above one chunk that is a different
+        transcript from one call of ``n``: each call draws its own
+        ``(5, c)`` block.
         """
         x, y = int(settings[0]), int(settings[1])
         if not (0 <= x < self.m_a and 0 <= y < self.m_b):

@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,7 @@ from lhvmodels import cli
 from lhvmodels.cli import main
 from lhvmodels.multiparty import ScanRow
 from lhvmodels.presets import dimension_scenario, random_two_party_scenario
-from lhvmodels.quantum import scenario_to_json
+from lhvmodels.quantum import CHUNK, scenario_to_json
 
 
 @pytest.fixture
@@ -150,6 +151,8 @@ def test_multiparty_scan_bad_arguments_write_nothing(tmp_path, capsys, bad, fmt)
         (["two-party", "verify", "--samples", "-5"], "--samples"),
         (["multiparty", "verify", "--tol", "nan"], "--tol"),
         (["multiparty", "verify", "--tol", "-0.001"], "--tol"),
+        # below verify.MIN_SAMPLES: refused before any model is built
+        (["two-party", "verify", "--samples", "50"], "--samples"),
     ],
 )
 def test_verify_bad_arguments_write_nothing(tmp_path, capsys, argv, message):
@@ -208,6 +211,27 @@ def test_two_party_verify_with_sampling(chsh_file, capsys):
     assert code == 0
     assert report["config"]["seed"] == 21
     assert report["sampling"]["checks"]["1,1"]["pass"] is True
+
+
+def test_two_party_sampling_memory_does_not_grow(chsh_file, tmp_path):
+    # several chunks per settings block: every draw is counted, and the
+    # traced peak is the same at 4x the draws
+    out = tmp_path / "r.json"
+
+    def traced_peak(samples):
+        tracemalloc.start()
+        try:
+            main(["two-party", "verify", "--scenario", chsh_file, "--samples",
+                  str(samples), "--seed", "3", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        checks = json.loads(out.read_text(encoding="utf-8"))["sampling"]["checks"]
+        assert [c["n_samples"] for c in checks.values()] == [samples] * 4
+        return peak
+
+    small, large = traced_peak(4 * CHUNK), traced_peak(16 * CHUNK)
+    assert large == pytest.approx(small, rel=0.1), (small, large)
 
 
 def test_two_party_verify_unreachable_tolerance(chsh_file, capsys):

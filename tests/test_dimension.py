@@ -2,6 +2,7 @@
 responses, and the vectorized Monte Carlo report."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from lhvmodels.dimension import (
 )
 from lhvmodels.errors import DomainError, ZeroFiringError
 from lhvmodels.presets import computational_povm, random_povm
-from lhvmodels.quantum import NO_CLICK, refine_to_rank_one
+from lhvmodels.quantum import CHUNK, NO_CLICK, refine_to_rank_one
 
 
 def test_params_derived_quantities():
@@ -137,3 +138,88 @@ def test_monte_carlo_raises_when_nothing_fires(rng):
     povm = computational_povm(2)
     with pytest.raises(ZeroFiringError):
         run_dimension_model(2, 1e-9, povm, povm, 200, rng)
+
+
+def _one_batch_counts(d, delta, x_povm, y_povm, samples, rng):
+    """Reference: every draw of the run made at once, in one batch.
+
+    Returns Alice's firing count, the coarse joint counts of the fired
+    draws (rows: Alice's parent outcomes, columns: Bob's) and Bob's
+    unconditional coarse counts."""
+    def arrays(povm):
+        elements = refine_to_rank_one(povm)
+        parents = list(dict.fromkeys(e.parent_label for e in elements))
+        return (
+            np.array([e.weight for e in elements]),
+            np.stack([e.direction for e in elements]),
+            np.array([parents.index(e.parent_label) for e in elements]),
+            len(parents),
+        )
+
+    wx, dir_x, coarse_x, n_x = arrays(x_povm)
+    wy, dir_y, coarse_y, n_y = arrays(y_povm)
+    g = rng.standard_normal((samples, d, 2))
+    phi = g[..., 0] + 1j * g[..., 1]
+    phi /= np.linalg.norm(phi, axis=1, keepdims=True)
+    cum_x = np.cumsum(wx / d)
+    cum_x[-1] = 1.0
+    a_ref = np.minimum(
+        np.searchsorted(cum_x, rng.random(samples), side="right"), len(wx) - 1
+    )
+    overlap = np.abs(np.sum(phi.conj() * dir_x[a_ref], axis=1)) ** 2
+    fired = overlap >= math.cos(delta) ** 2
+    w_bob = wy * np.abs(phi @ dir_y.T) ** 2
+    cum_bob = np.cumsum(w_bob / w_bob.sum(axis=1, keepdims=True), axis=1)
+    cum_bob[:, -1] = 1.0
+    b_ref = np.sum(rng.random(samples)[:, None] > cum_bob, axis=1)
+    b_par = coarse_y[np.minimum(b_ref, len(wy) - 1)]
+    joint = np.zeros((n_x, n_y), dtype=np.int64)
+    np.add.at(joint, (coarse_x[a_ref[fired]], b_par[fired]), 1)
+    return int(fired.sum()), joint, np.bincount(b_par, minlength=n_y)
+
+
+@pytest.mark.parametrize("d, delta, povms", [
+    (2, math.pi / 6, "computational"),
+    (3, math.pi / 4, "random"),
+])
+def test_chunked_run_consumes_the_one_batch_stream(d, delta, povms):
+    # chunks split the draws, not the random stream: the counts and the
+    # caller's generator state match one batch of every draw
+    samples = 2 * CHUNK + 17
+    if povms == "random":
+        povm_rng = np.random.default_rng(3)
+        x_povm, y_povm = random_povm(d, 4, povm_rng), random_povm(d, 3, povm_rng)
+    else:
+        x_povm = y_povm = computational_povm(d)
+    rng, ref_rng = np.random.default_rng(77), np.random.default_rng(77)
+    report = run_dimension_model(d, delta, x_povm, y_povm, samples, rng)
+    n_fired, joint, bob = _one_batch_counts(
+        d, delta, x_povm, y_povm, samples, ref_rng
+    )
+    assert report.n_fired == n_fired
+    got_joint = [round(c.empirical * n_fired) for c in report.cells]
+    assert got_joint == joint.ravel().tolist()
+    got_bob = [round(c.empirical * samples) for c in report.bob_marginal]
+    assert got_bob == bob.tolist()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_monte_carlo_memory_does_not_grow_with_samples():
+    povm = computational_povm(3)
+
+    def run(samples):
+        return lambda: run_dimension_model(
+            3, math.pi / 4, povm, povm, samples, np.random.default_rng(5)
+        )
+
+    small, large = _traced_peak(run(4 * CHUNK)), _traced_peak(run(16 * CHUNK))
+    assert large == pytest.approx(small, rel=0.1), (small, large)
