@@ -140,9 +140,28 @@ def eta_all_click(n: int, m: int) -> float:
     return float(m) ** (-(n - 1) / n)
 
 
-def _epsilon_of_angle(d: int, delta: float) -> float:
+def fire_probability(d: int, delta: float) -> float:
+    """Q = (sin delta)^(2(d-1)): the probability that the dimension model's
+    guessing party fires at threshold angle delta."""
+    return math.sin(delta) ** (2 * (d - 1))
+
+
+def epsilon_of_angle(d: int, delta: float) -> float:
+    """The dimension model's error scale d (sin^2 delta + 2 sin delta)."""
     s = math.sin(delta)
     return d * (s * s + 2.0 * s)
+
+
+def eta_symmetrized(q: float) -> float:
+    """Efficiency 2Q/(1+Q) of the role-symmetrized dimension model with
+    firing probability Q (Q = 1 gives 1)."""
+    return 2.0 * q / (1.0 + q)
+
+
+def eta_lower_bound(d: int, epsilon: float) -> float:
+    """The closed-form efficiency bound (epsilon/4d)^(2(d-1)); it applies
+    for 0 < epsilon < 2d."""
+    return (epsilon / (4.0 * d)) ** (2 * (d - 1))
 
 
 def solve_threshold_angle(d: int, epsilon: float) -> float:
@@ -162,7 +181,7 @@ def solve_threshold_angle(d: int, epsilon: float) -> float:
     lo, hi = 0.0, math.pi / 2.0
     while hi - lo > ANGLE_TOL:
         mid = 0.5 * (lo + hi)
-        if _epsilon_of_angle(d, mid) < epsilon:
+        if epsilon_of_angle(d, mid) < epsilon:
             lo = mid
         else:
             hi = mid
@@ -187,9 +206,8 @@ def eta_dimension(d: int, epsilon: float, mode: str = "lower_bound") -> float:
             f"error tolerance must satisfy 0 < epsilon < 2d = {2 * d}, got {epsilon}"
         )
     if mode == "lower_bound":
-        return (epsilon / (4.0 * d)) ** (2 * (d - 1))
+        return eta_lower_bound(d, epsilon)
     if mode == "exact_from_delta":
         delta = solve_threshold_angle(d, epsilon)
-        q = math.sin(delta) ** (2 * (d - 1))
-        return 2.0 * q / (1.0 + q)
+        return eta_symmetrized(fire_probability(d, delta))
     raise DomainError(f"unknown mode {mode!r}")

@@ -32,8 +32,8 @@ digits, and the silent outcome as ``∅``.  Scans stream one row per N,
 flushed immediately: CSV rows, or newline-delimited JSON after a config
 line.  Exit status: 0 on pass or completion, 1 on verification failure, 2
 on usage errors (including malformed scenario files, a ``--tol`` or
-``--d`` out of range, a ``two-party verify --samples`` below
-``verify.MIN_SAMPLES``, and a report file that cannot be opened).
+``--d`` out of range, a ``--samples`` below ``verify.MIN_SAMPLES``, and
+a report file that cannot be opened).
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ import itertools
 import math
 import secrets
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring
@@ -357,7 +358,12 @@ def build_parser() -> argparse.ArgumentParser:
     angle.add_argument(
         "--epsilon", type=float, help="error tolerance; the angle is solved from it"
     )
-    p_dim_verify.add_argument("--samples", type=int, default=100_000)
+    p_dim_verify.add_argument(
+        "--samples",
+        type=int,
+        default=100_000,
+        help=f"hidden states to draw (at least {MIN_SAMPLES}; default 100000)",
+    )
     p_dim_verify.add_argument(
         "--scenario",
         help="scenario JSON supplying the two POVMs (first setting of each "
@@ -421,6 +427,14 @@ def _cmd_bounds(args) -> int:
 def _check_tol(tol: float) -> None:
     if not 0 <= tol < math.inf:
         raise DomainError(f"--tol must be finite and >= 0, got {tol}")
+
+
+def _check_samples(samples: int | None) -> None:
+    if samples is not None and samples < MIN_SAMPLES:
+        raise DomainError(
+            f"--samples must be >= {MIN_SAMPLES} (the statistical check's "
+            f"normal approximation), got {samples}"
+        )
 
 
 def _comparison_tables(model_dist, target_dist):
@@ -487,11 +501,7 @@ def _verify_model(model, scenario, tol):
 
 def _cmd_two_party_verify(args) -> int:
     _check_tol(args.tol)
-    if args.samples is not None and args.samples < MIN_SAMPLES:
-        raise DomainError(
-            f"--samples must be >= {MIN_SAMPLES} (the statistical check's "
-            f"normal approximation), got {args.samples}"
-        )
+    _check_samples(args.samples)
     scenario = load_scenario(args.scenario)
     seed = args.seed
     if args.samples and seed is None:
@@ -507,21 +517,12 @@ def _cmd_two_party_verify(args) -> int:
     body: dict[str, Any] = {"eta": model.eta, **entries}
     if args.samples:
         rng = np.random.default_rng(seed)
-        # tabulate's key order: outcome codes ascending, the silent one first
-        order = list(itertools.product(
-            *((alph[-1],) + alph[:-1] for alph in model_dist.alphabets)
-        ))
         checks = {}
         for choice in model_dist.settings_choices():
-            counts = dict.fromkeys(order, 0)
+            counts: Counter = Counter()
             for c in chunk_sizes(args.samples):
-                chunk = model.tabulate(model.sample_many(choice, c, rng))
-                for key, k in chunk.items():
-                    counts[key] += k
-            stat = statistical_match(
-                {key: k for key, k in counts.items() if k},
-                model_dist.block(choice),
-            )
+                counts.update(model.tabulate(model.sample_many(choice, c, rng)))
+            stat = statistical_match(counts, model_dist.block(choice))
             checks[_settings_key(choice)] = stat.to_dict()
             passed = passed and stat.passed
         body["sampling"] = {
@@ -608,6 +609,7 @@ def _cmd_multiparty_verify(args) -> int:
 def _cmd_dim_model_verify(args) -> int:
     if args.d < 2:
         raise DomainError(f"need dimension >= 2, got {args.d}")
+    _check_samples(args.samples)
     seed = args.seed if args.seed is not None else secrets.randbits(63)
     if args.delta is not None:
         delta = args.delta

@@ -32,6 +32,12 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from .bounds import (
+    epsilon_of_angle,
+    eta_lower_bound,
+    eta_symmetrized,
+    fire_probability,
+)
 from .errors import DomainError, InvariantViolation, ZeroFiringError
 from .quantum import (
     CHUNK,
@@ -70,19 +76,17 @@ class DimensionModelParams:
     @property
     def fire_prob(self) -> float:
         """Q = (sin delta)^(2(d-1)): Alice's firing probability."""
-        return math.sin(self.delta) ** (2 * (self.d - 1))
+        return fire_probability(self.d, self.delta)
 
     @property
     def epsilon(self) -> float:
         """The error scale d (sin^2 delta + 2 sin delta)."""
-        s = math.sin(self.delta)
-        return self.d * (s * s + 2.0 * s)
+        return epsilon_of_angle(self.d, self.delta)
 
     @property
     def eta(self) -> float:
         """Symmetrized detector efficiency 2Q/(1+Q)."""
-        q = self.fire_prob
-        return 2.0 * q / (1.0 + q)
+        return eta_symmetrized(self.fire_prob)
 
     @property
     def efficiency_lower_bound(self) -> float | None:
@@ -91,7 +95,7 @@ class DimensionModelParams:
         eps = self.epsilon
         if eps >= 2.0 * self.d:
             return None
-        return (eps / (4.0 * self.d)) ** (2 * (self.d - 1))
+        return eta_lower_bound(self.d, eps)
 
 
 def symmetrized_efficiency(q: float) -> float:
@@ -104,7 +108,7 @@ def symmetrized_efficiency(q: float) -> float:
     q = float(q)
     if not 0.0 < q < 1.0:
         raise DomainError(f"firing probability must lie in (0,1), got {q}")
-    return 2.0 * q / (1.0 + q)
+    return eta_symmetrized(q)
 
 
 def _rank_one_arrays(

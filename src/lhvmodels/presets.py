@@ -45,15 +45,6 @@ def ghz_scenario(n_parties: int = 3) -> Scenario:
     )
 
 
-def random_density_matrix(d: int, rng: np.random.Generator) -> QuantumState:
-    """Full-rank random mixed state G G^dagger / Tr(G G^dagger), with G a
-    complex Gaussian (Ginibre) matrix."""
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    rho = g @ g.conj().T
-    rho /= np.trace(rho).real
-    return QuantumState("mixed", (d,), rho)
-
-
 def random_povm(d: int, n_outcomes: int, rng: np.random.Generator) -> Povm:
     """Random POVM with ``n_outcomes`` full-rank elements.
 

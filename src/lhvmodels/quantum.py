@@ -299,12 +299,6 @@ class Povm:
         _check_square_common(self.elements)
         return self.elements[0].shape[0]
 
-    def element_for(self, label: Any) -> np.ndarray:
-        try:
-            return self.elements[self.labels.index(label)]
-        except ValueError:
-            raise DomainError(f"unknown outcome label {label!r}") from None
-
 
 def projective_povm(vectors: Sequence[Sequence[complex]], labels=None) -> Povm:
     """POVM of rank-one projectors onto the given orthonormal vectors."""
@@ -394,9 +388,6 @@ class RankOnePovmElement:
             )
         object.__setattr__(self, "weight", w)
         object.__setattr__(self, "direction", _readonly(v))
-
-    def matrix(self) -> np.ndarray:
-        return self.weight * np.outer(self.direction, self.direction.conj())
 
 
 def refine_to_rank_one(p: Povm) -> list[RankOnePovmElement]:
@@ -598,35 +589,6 @@ def subset_joint_table(
     keep = set(parties)
     drop = tuple(p for p in range(scenario.n_parties) if p not in keep)
     return np.squeeze(table, axis=drop)
-
-
-def quantum_joint(
-    scenario: Scenario, settings: Sequence[int], outcomes: Sequence[Any]
-) -> float:
-    """Probability of one outcome tuple at one settings choice.
-
-    An outcome entry of :data:`NO_CLICK` marginalizes that party (its
-    measurement operator is replaced by the identity), so mixed entries give
-    joint-marginal probabilities.
-    """
-    if len(settings) != scenario.n_parties or len(outcomes) != scenario.n_parties:
-        raise DomainError("need one setting and one outcome per party")
-    parties = [p for p, o in enumerate(outcomes) if o is not NO_CLICK]
-    if not parties:
-        return 1.0
-    table = subset_joint_table(
-        scenario, parties, [settings[p] for p in parties]
-    )
-    idx = tuple(
-        scenario.alphabet(p).index(outcomes[p]) if outcomes[p] in scenario.alphabet(p)
-        else _raise_label(outcomes[p], p)
-        for p in parties
-    )
-    return float(table[idx])
-
-
-def _raise_label(label: Any, party: int):
-    raise DomainError(f"unknown outcome label {label!r} for party {party}")
 
 
 # ---------------------------------------------------------------------------

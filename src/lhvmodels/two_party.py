@@ -30,6 +30,7 @@ in the partner's conditional).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Iterator
 
 import numpy as np
@@ -40,12 +41,41 @@ from .quantum import (
     NO_CLICK,
     OutcomeDistribution,
     Scenario,
+    _readonly,
     joint_outcome_table,
+    sequential_sum,
     subset_joint_table,
 )
 
 #: Marginal probabilities at or below this are treated as zero support.
 SUPPORT_CUTOFF = 1e-15
+
+
+def _sum_over_others(t: np.ndarray, axis: int) -> np.ndarray:
+    """For each index i along ``axis``, the sum of ``t`` over the other
+    indices i' != i along it, the axis kept.
+
+    Terms are added as Python's ``sum(..., 0.0)`` adds them: from 0.0, i'
+    ascending, with 0.0 in place of the skipped term, so an empty sum
+    (one index) is 0.0 and every bit matches a loop over the pairs.
+    """
+    m = t.shape[axis]
+    t = np.moveaxis(t, axis, 0)
+    skip = np.eye(m, dtype=bool).reshape((m, m) + (1,) * (t.ndim - 1))
+    terms = np.where(skip, 0.0, t)  # terms[i, i'] = t[i'], 0.0 at i' == i
+    zero = np.zeros_like(terms[:, :1])
+    total = sequential_sum(np.concatenate([zero, terms], axis=1), [1])
+    return np.moveaxis(total, 0, axis)
+
+
+def _cum_rows(m: np.ndarray) -> np.ndarray:
+    """Row-normalized cumulative sums over the last axis; a row with no
+    support becomes uniform."""
+    m = np.clip(m, 0.0, None)
+    sums = m.sum(axis=-1, keepdims=True)
+    safe = np.where(sums > SUPPORT_CUTOFF, sums, 1.0)
+    m = np.where(sums > SUPPORT_CUTOFF, m / safe, 1.0 / m.shape[-1])
+    return np.cumsum(m, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -85,19 +115,17 @@ class TwoPartyModel:
         self._extended_alphabets = (
             self._alphabet_a + (NO_CLICK,), self._alphabet_b + (NO_CLICK,)
         )
-        # quantum tables: joint per settings pair, marginals per setting
-        self._joint = {
-            (x, y): joint_outcome_table(scenario, (x, y))
+        # quantum tables: joint (x, y, a, b), marginals (x, a) and (y, b)
+        self._joint = _readonly([
+            [joint_outcome_table(scenario, (x, y)) for y in range(self.m_b)]
             for x in range(self.m_a)
-            for y in range(self.m_b)
-        }
-        self._marg_a = [
-            subset_joint_table(scenario, [0], [x]) for x in range(self.m_a)
-        ]
-        self._marg_b = [
-            subset_joint_table(scenario, [1], [y]) for y in range(self.m_b)
-        ]
-        self._sampler_tables: dict | None = None
+        ])
+        self._marg_a = _readonly(
+            [subset_joint_table(scenario, [0], [x]) for x in range(self.m_a)]
+        )
+        self._marg_b = _readonly(
+            [subset_joint_table(scenario, [1], [y]) for y in range(self.m_b)]
+        )
 
     # ------------------------------------------------------------------
     # exact distribution, fused analytic form
@@ -120,24 +148,14 @@ class TwoPartyModel:
         w_both = g * (r / self.m_a + (1.0 - r) / self.m_b)
         w_alice_silent = g * r / self.m_a
         w_bob_silent = g * (1.0 - r) / self.m_b
+        b_any_a = _sum_over_others(self._joint.sum(axis=2), axis=0)
+        a_any_b = _sum_over_others(self._joint.sum(axis=3), axis=1)
         probs = np.empty((self.m_a, self.m_b, self.n_a + 1, self.n_b + 1))
-        for x in range(self.m_a):
-            for y in range(self.m_b):
-                b_given_any_a = sum(
-                    (self._joint[(xp, y)].sum(axis=0)
-                     for xp in range(self.m_a) if xp != x),
-                    np.zeros(self.n_b),
-                )
-                a_given_any_b = sum(
-                    (self._joint[(x, yp)].sum(axis=1)
-                     for yp in range(self.m_b) if yp != y),
-                    np.zeros(self.n_a),
-                )
-                block = probs[x, y]  # silent outcome in the last position
-                block[:-1, :-1] = w_both * self._joint[(x, y)]
-                block[:-1, -1] = w_bob_silent * a_given_any_b
-                block[-1, :-1] = w_alice_silent * b_given_any_a
-                block[-1, -1] = 1.0 - g
+        # the silent outcome in the last position
+        probs[:, :, :-1, :-1] = w_both * self._joint
+        probs[:, :, :-1, -1] = w_bob_silent * a_any_b
+        probs[:, :, -1, :-1] = w_alice_silent * b_any_a
+        probs[:, :, -1, -1] = 1.0 - g
         return OutcomeDistribution(self._extended_alphabets, probs)
 
     # ------------------------------------------------------------------
@@ -192,9 +210,8 @@ class TwoPartyModel:
             else:
                 out[-1] = 1.0
         else:  # Bob holds the guess; Alice answers the quantum conditional
-            joint = self._joint[(x, lam.guessed_setting)]
-            denom = float(self._marg_b[lam.guessed_setting][lam.guessed_outcome])
-            out[: self.n_a] = joint[:, lam.guessed_outcome] / denom
+            y, b = lam.guessed_setting, lam.guessed_outcome
+            out[: self.n_a] = self._joint[x, y, :, b] / float(self._marg_b[y, b])
         return out
 
     def respond_bob(self, lam: TwoPartyHiddenVariable, y: int) -> np.ndarray:
@@ -209,9 +226,8 @@ class TwoPartyModel:
             else:
                 out[-1] = 1.0
         else:
-            joint = self._joint[(lam.guessed_setting, y)]
-            denom = float(self._marg_a[lam.guessed_setting][lam.guessed_outcome])
-            out[: self.n_b] = joint[lam.guessed_outcome, :] / denom
+            x, a = lam.guessed_setting, lam.guessed_outcome
+            out[: self.n_b] = self._joint[x, y, a, :] / float(self._marg_a[x, a])
         return out
 
     def distribution_by_hidden_enumeration(self) -> OutcomeDistribution:
@@ -237,38 +253,18 @@ class TwoPartyModel:
     # sampling
     # ------------------------------------------------------------------
 
-    def _tables_for_sampling(self) -> dict:
-        """Cumulative tables for vectorized inverse-CDF draws."""
-        if self._sampler_tables is not None:
-            return self._sampler_tables
-
-        def _cum_rows(m: np.ndarray) -> np.ndarray:
-            m = np.clip(m, 0.0, None)
-            sums = m.sum(axis=-1, keepdims=True)
-            safe = np.where(sums > SUPPORT_CUTOFF, sums, 1.0)
-            m = np.where(
-                sums > SUPPORT_CUTOFF, m / safe, 1.0 / m.shape[-1]
-            )
-            return np.cumsum(m, axis=-1)
-
-        marg_a = _cum_rows(np.stack(self._marg_a))  # (m_a, n_a)
-        marg_b = _cum_rows(np.stack(self._marg_b))  # (m_b, n_b)
-        # conditional of the answering party given (guessed setting, outcome)
-        cond_b = np.empty((self.m_b, self.m_a, self.n_a, self.n_b))
-        for y in range(self.m_b):
-            for xp in range(self.m_a):
-                cond_b[y, xp] = _cum_rows(self._joint[(xp, y)])
-        cond_a = np.empty((self.m_a, self.m_b, self.n_b, self.n_a))
-        for x in range(self.m_a):
-            for yp in range(self.m_b):
-                cond_a[x, yp] = _cum_rows(self._joint[(x, yp)].T)
-        self._sampler_tables = {
-            "marg_a": marg_a,
-            "marg_b": marg_b,
-            "cond_b": cond_b,
-            "cond_a": cond_a,
-        }
-        return self._sampler_tables
+    @cached_property
+    def _sampler_tables(self) -> tuple[np.ndarray, ...]:
+        """Cumulative tables for vectorized inverse-CDF draws: both
+        marginals, then each answering party's conditional given the
+        guessed (setting, outcome) — Bob's indexed (x', y, a, b), Alice's
+        (x, y', b, a)."""
+        return (
+            _cum_rows(self._marg_a),
+            _cum_rows(self._marg_b),
+            _cum_rows(self._joint),
+            _cum_rows(self._joint.transpose(0, 1, 3, 2)),
+        )
 
     def sample_many(
         self, settings: tuple[int, int], n: int, rng: np.random.Generator
@@ -291,7 +287,7 @@ class TwoPartyModel:
         x, y = int(settings[0]), int(settings[1])
         if not (0 <= x < self.m_a and 0 <= y < self.m_b):
             raise DomainError(f"settings {settings} out of range")
-        t = self._tables_for_sampling()
+        marg_a, marg_b, cond_b, cond_a = self._sampler_tables
         g = float(self.symmetrization.proceed_prob)
         r = float(self.symmetrization.role_prob)
         u = rng.random((5, n))
@@ -303,19 +299,15 @@ class TwoPartyModel:
         set_b = np.minimum((u[2] * self.m_b).astype(np.int64), self.m_b - 1)
 
         # guessed outcome from the guessed setting's quantum marginal
-        guess_a = np.sum(u[3][:, None] > t["marg_a"][set_a], axis=1)
+        guess_a = np.sum(u[3][:, None] > marg_a[set_a], axis=1)
         guess_a = np.minimum(guess_a, self.n_a - 1)
-        guess_b = np.sum(u[3][:, None] > t["marg_b"][set_b], axis=1)
+        guess_b = np.sum(u[3][:, None] > marg_b[set_b], axis=1)
         guess_b = np.minimum(guess_b, self.n_b - 1)
 
         # answering party's conditional response
-        resp_b = np.sum(
-            u[4][:, None] > t["cond_b"][y][set_a, guess_a], axis=1
-        )
+        resp_b = np.sum(u[4][:, None] > cond_b[set_a, y, guess_a], axis=1)
         resp_b = np.minimum(resp_b, self.n_b - 1)
-        resp_a = np.sum(
-            u[4][:, None] > t["cond_a"][x][set_b, guess_b], axis=1
-        )
+        resp_a = np.sum(u[4][:, None] > cond_a[x, set_b, guess_b], axis=1)
         resp_a = np.minimum(resp_a, self.n_a - 1)
 
         out = np.full((n, 2), -1, dtype=np.int64)

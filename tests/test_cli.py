@@ -153,6 +153,8 @@ def test_multiparty_scan_bad_arguments_write_nothing(tmp_path, capsys, bad, fmt)
         (["multiparty", "verify", "--tol", "-0.001"], "--tol"),
         # below verify.MIN_SAMPLES: refused before any model is built
         (["two-party", "verify", "--samples", "50"], "--samples"),
+        (["dim-model", "verify", "--d", "2", "--delta", "0.5", "--samples", "50"],
+         "--samples"),
     ],
 )
 def test_verify_bad_arguments_write_nothing(tmp_path, capsys, argv, message):

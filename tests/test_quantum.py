@@ -34,7 +34,6 @@ from lhvmodels.quantum import (
     maximally_entangled,
     projective_povm,
     quantum_distribution,
-    quantum_joint,
     refine_to_rank_one,
     scenario_from_json,
     scenario_to_json,
@@ -228,12 +227,6 @@ def test_quantum_joint_hadamard_correlations():
     table = joint_outcome_table(sc, (0, 0))
     # |Phi> looks the same in the rotated basis up to conjugation
     np.testing.assert_allclose(table, [[0.5, 0.0], [0.0, 0.5]], atol=TOL)
-
-
-def test_quantum_joint_marginalizes_no_click():
-    sc = _comp_scenario(d=2)
-    assert abs(quantum_joint(sc, (0, 0), (0, NO_CLICK)) - 0.5) < TOL
-    assert abs(quantum_joint(sc, (0, 0), (NO_CLICK, NO_CLICK)) - 1.0) < TOL
 
 
 def test_subset_table_is_maximally_mixed_marginal():

@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 
 from lhvmodels.errors import DomainError
+from lhvmodels.presets import random_two_party_scenario
 from lhvmodels.quantum import (
     NO_CLICK,
     extend_with_inefficiency,
+    joint_outcome_table,
     quantum_distribution,
+    subset_joint_table,
 )
 from lhvmodels.two_party import TwoPartyModel, build_exact_distribution
 from lhvmodels.verify import compare_float, statistical_match
@@ -147,3 +150,105 @@ def test_sampler_matches_on_random_scenario(random23, rng):
     counts = model.tabulate(model.sample_many((1, 2), 60_000, rng))
     report = statistical_match(counts, exact.block((1, 2)))
     assert report.passed, report.worst_cell
+
+
+# ---------------------------------------------------------------------------
+# bit-for-bit oracle: the per-settings-pair loops the arrays replaced
+# ---------------------------------------------------------------------------
+
+
+def _loop_tables(scenario):
+    m_a, m_b = scenario.n_settings
+    joint = {
+        (x, y): joint_outcome_table(scenario, (x, y))
+        for x in range(m_a)
+        for y in range(m_b)
+    }
+    marg_a = [subset_joint_table(scenario, [0], [x]) for x in range(m_a)]
+    marg_b = [subset_joint_table(scenario, [1], [y]) for y in range(m_b)]
+    return joint, marg_a, marg_b
+
+
+def _loop_exact_probs(model):
+    """The fused table built pair by pair, each "other settings" sum a
+    Python ``sum`` from ``np.zeros``."""
+    joint, _, _ = _loop_tables(model.scenario)
+    m_a, m_b, n_a, n_b = model.m_a, model.m_b, model.n_a, model.n_b
+    g = float(model.symmetrization.proceed_prob)
+    r = float(model.symmetrization.role_prob)
+    w_both = g * (r / m_a + (1.0 - r) / m_b)
+    w_alice_silent = g * r / m_a
+    w_bob_silent = g * (1.0 - r) / m_b
+    probs = np.empty((m_a, m_b, n_a + 1, n_b + 1))
+    for x in range(m_a):
+        for y in range(m_b):
+            b_given_any_a = sum(
+                (joint[(xp, y)].sum(axis=0) for xp in range(m_a) if xp != x),
+                np.zeros(n_b),
+            )
+            a_given_any_b = sum(
+                (joint[(x, yp)].sum(axis=1) for yp in range(m_b) if yp != y),
+                np.zeros(n_a),
+            )
+            block = probs[x, y]
+            block[:-1, :-1] = w_both * joint[(x, y)]
+            block[:-1, -1] = w_bob_silent * a_given_any_b
+            block[-1, :-1] = w_alice_silent * b_given_any_a
+            block[-1, -1] = 1.0 - g
+    return probs
+
+
+def _loop_sampler_tables(model):
+    """Cumulative sampler tables built pair by pair: marginals, then
+    cond_b[y, x'] and cond_a[x, y']."""
+
+    def cum_rows(m):
+        m = np.clip(m, 0.0, None)
+        sums = m.sum(axis=-1, keepdims=True)
+        safe = np.where(sums > 1e-15, sums, 1.0)
+        m = np.where(sums > 1e-15, m / safe, 1.0 / m.shape[-1])
+        return np.cumsum(m, axis=-1)
+
+    joint, marg_a, marg_b = _loop_tables(model.scenario)
+    m_a, m_b, n_a, n_b = model.m_a, model.m_b, model.n_a, model.n_b
+    cond_b = np.empty((m_b, m_a, n_a, n_b))
+    for y in range(m_b):
+        for xp in range(m_a):
+            cond_b[y, xp] = cum_rows(joint[(xp, y)])
+    cond_a = np.empty((m_a, m_b, n_b, n_a))
+    for x in range(m_a):
+        for yp in range(m_b):
+            cond_a[x, yp] = cum_rows(joint[(x, yp)].T)
+    return cum_rows(np.stack(marg_a)), cum_rows(np.stack(marg_b)), cond_b, cond_a
+
+
+def _bits(a):
+    return [float(v).hex() for v in np.ravel(a)]
+
+
+@pytest.mark.parametrize(
+    "settings", [None, (2, 3), (1, 3), (4, 5)], ids=["chsh", "2x3", "1x3", "4x5"]
+)
+def test_array_tables_match_pair_loops_bit_for_bit(settings, chsh, random23):
+    """The whole-array exact table and sampler tables equal, bit for bit,
+    the per-(x, y) loops they replaced.  With four or more settings a side
+    the "other settings" sums have three or more terms, so any change in
+    the order of a sum shows; with one setting the sum is empty."""
+    if settings is None:
+        scenario = chsh
+    elif settings == (2, 3):
+        scenario = random23
+    else:
+        scenario = random_two_party_scenario(
+            np.random.default_rng(sum(settings)), *settings, 3, (2, 2)
+        )
+    model = TwoPartyModel(scenario)
+    assert _bits(model.exact_distribution().probs) == _bits(
+        _loop_exact_probs(model)
+    )
+    marg_a, marg_b, cond_b, cond_a = _loop_sampler_tables(model)
+    new = model._sampler_tables
+    assert _bits(new[0]) == _bits(marg_a)
+    assert _bits(new[1]) == _bits(marg_b)
+    assert _bits(new[2]) == _bits(cond_b.transpose(1, 0, 2, 3))
+    assert _bits(new[3]) == _bits(cond_a)
