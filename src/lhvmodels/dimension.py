@@ -46,6 +46,7 @@ from .quantum import (
     RankOnePovmElement,
     chunk_sizes,
     haar_random_state,
+    inverse_cdf,
     refine_to_rank_one,
 )
 
@@ -342,7 +343,7 @@ def run_dimension_model(
         cum_bob = np.cumsum(w_bob, axis=1)
         cum_bob[:, -1] = 1.0
         u = rng.random(c)
-        b_ref = np.sum(u[:, None] > cum_bob, axis=1)
+        b_ref = inverse_cdf(u, cum_bob)
         b_par = coarse_y[np.minimum(b_ref, len(wy) - 1)]
 
         n_fired += int(np.count_nonzero(fired))

@@ -243,6 +243,22 @@ def chunk_sizes(n: int) -> Iterator[int]:
     return (min(CHUNK, n - start) for start in range(0, n, CHUNK))
 
 
+def inverse_cdf(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draws: for each row ``i`` of the cumulative table ``cum``
+    (shape ``(n, width)``, ``width >= 1``), the number of its entries
+    strictly below ``u[i]``, as int64.
+
+    The count is made one column at a time, so no ``(n, width)`` boolean
+    block is built and reduced; the integers equal that block's row sums,
+    ties included (the comparison is strict).  A row ending below ``u[i]``
+    gives ``width``; callers clamp it to the last outcome.
+    """
+    idx = (u > cum[:, 0]).astype(np.int64)
+    for j in range(1, cum.shape[1]):
+        idx += u > cum[:, j]
+    return idx
+
+
 def conjugate_in_schmidt_basis(v: np.ndarray) -> np.ndarray:
     """Entrywise complex conjugate, relative to the computational basis.
 

@@ -42,6 +42,7 @@ from .quantum import (
     OutcomeDistribution,
     Scenario,
     _readonly,
+    inverse_cdf,
     joint_outcome_table,
     sequential_sum,
     subset_joint_table,
@@ -276,17 +277,21 @@ class TwoPartyModel:
         guessed setting, guessed outcome, partner response — one uniform
         each per sample), so a fixed seed reproduces the transcript.
 
-        Memory grows with ``n``: one ``(5, n)`` block of uniforms and a few
-        arrays of ``n`` entries.  To count many draws in bounded memory,
-        call it on chunks of at most :data:`~lhvmodels.quantum.CHUNK` draws
-        and add up each chunk's :meth:`tabulate`, as ``lhv two-party
-        verify --samples`` does.  Above one chunk that is a different
-        transcript from one call of ``n``: each call draws its own
-        ``(5, c)`` block.
+        All five uniform rows are drawn for every draw, but the table
+        lookups run only for draws that proceed, and each of those looks
+        up only its own role's guess and response.  Memory is one
+        ``(5, n)`` block of uniforms plus arrays sized by the draws that
+        proceed.  To count many draws in bounded memory, call it on chunks
+        of at most :data:`~lhvmodels.quantum.CHUNK` draws and add up each
+        chunk's :meth:`tabulate`, as ``lhv two-party verify --samples``
+        does.  Above one chunk that is a different transcript from one
+        call of ``n``: each call draws its own ``(5, c)`` block.
         """
         x, y = int(settings[0]), int(settings[1])
         if not (0 <= x < self.m_a and 0 <= y < self.m_b):
             raise DomainError(f"settings {settings} out of range")
+        if n < 0:
+            raise DomainError(f"need n >= 0 draws, got n={n}")
         marg_a, marg_b, cond_b, cond_a = self._sampler_tables
         g = float(self.symmetrization.proceed_prob)
         r = float(self.symmetrization.role_prob)
@@ -294,29 +299,25 @@ class TwoPartyModel:
         proceed = u[0] < g
         alice_guessed = u[1] < r
 
-        # guessed setting, scaled per role from one shared uniform
-        set_a = np.minimum((u[2] * self.m_a).astype(np.int64), self.m_a - 1)
-        set_b = np.minimum((u[2] * self.m_b).astype(np.int64), self.m_b - 1)
-
-        # guessed outcome from the guessed setting's quantum marginal
-        guess_a = np.sum(u[3][:, None] > marg_a[set_a], axis=1)
-        guess_a = np.minimum(guess_a, self.n_a - 1)
-        guess_b = np.sum(u[3][:, None] > marg_b[set_b], axis=1)
-        guess_b = np.minimum(guess_b, self.n_b - 1)
-
-        # answering party's conditional response
-        resp_b = np.sum(u[4][:, None] > cond_b[set_a, y, guess_a], axis=1)
-        resp_b = np.minimum(resp_b, self.n_b - 1)
-        resp_a = np.sum(u[4][:, None] > cond_a[x, set_b, guess_b], axis=1)
-        resp_a = np.minimum(resp_a, self.n_a - 1)
-
         out = np.full((n, 2), -1, dtype=np.int64)
-        mask = proceed & alice_guessed
-        out[mask, 0] = np.where(set_a[mask] == x, guess_a[mask], -1)
-        out[mask, 1] = resp_b[mask]
-        mask = proceed & ~alice_guessed
-        out[mask, 1] = np.where(set_b[mask] == y, guess_b[mask], -1)
-        out[mask, 0] = resp_a[mask]
+        # per role: the draws it covers, the guesser's column and own
+        # setting, its marginal, and the answering party's conditional
+        # indexed (guessed setting, guessed outcome)
+        roles = (
+            (proceed & alice_guessed, 0, x, marg_a, cond_b[:, y]),
+            (proceed & ~alice_guessed, 1, y, marg_b, cond_a[x]),
+        )
+        for mask, guesser, own, marg, cond in roles:
+            i = np.flatnonzero(mask)
+            m_guess, n_guess = marg.shape
+            # guessed setting, scaled to this role from the shared uniform
+            s = np.minimum((u[2, i] * m_guess).astype(np.int64), m_guess - 1)
+            # guessed outcome from the guessed setting's quantum marginal
+            guess = np.minimum(inverse_cdf(u[3, i], marg[s]), n_guess - 1)
+            out[i, guesser] = np.where(s == own, guess, -1)
+            # answering party's conditional response
+            resp = inverse_cdf(u[4, i], cond[s, guess])
+            out[i, 1 - guesser] = np.minimum(resp, cond.shape[-1] - 1)
         return out
 
     def sample(

@@ -29,6 +29,7 @@ from lhvmodels.quantum import (
     format_outcome,
     ghz_state,
     haar_random_state,
+    inverse_cdf,
     joint_outcome_table,
     load_scenario,
     maximally_entangled,
@@ -515,3 +516,35 @@ def test_load_scenario_from_disk(tmp_path, chsh):
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(ScenarioFormatError):
         load_scenario(str(bad))
+
+
+def test_inverse_cdf_equals_boolean_row_sum():
+    """The column-by-column count equals the summed ``u > cum`` block on
+    the cases a sampler meets: repeated entries (zero-probability
+    outcomes), ``u`` equal to an entry, a row ending below ``u``, width 1
+    and no rows."""
+    rng = np.random.default_rng(7)
+
+    def check(u, cum):
+        got = inverse_cdf(u, cum)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.sum(u[:, None] > cum, axis=1))
+        return got
+
+    # nondecreasing rows with repeated values
+    p = rng.random((500, 5)) * (rng.random((500, 5)) < 0.6)
+    total = np.maximum(p.sum(axis=1, keepdims=True), 1e-300)
+    cum = np.cumsum(p / total, axis=1)
+    check(rng.random(500), cum)
+    # u exactly equal to an entry: the comparison is strict
+    cum = np.array([[0.25, 0.25, 0.5, 1.0]] * 4)
+    got = check(np.array([0.0, 0.25, 0.5, 1.0]), cum)
+    assert got.tolist() == [0, 0, 2, 3]
+    # a row ending below u gives the width; the caller clamps it
+    got = check(np.array([0.95, 0.5]), np.array([[0.3, 0.9], [0.3, 0.9]]))
+    assert got.tolist() == [2, 1]
+    # width 1
+    check(rng.random(9), np.ones((9, 1)))
+    check(np.array([1.5]), np.ones((1, 1)))
+    # empty input
+    assert check(np.empty(0), np.empty((0, 3))).shape == (0,)

@@ -8,6 +8,7 @@ import pytest
 from lhvmodels.errors import DomainError
 from lhvmodels.presets import random_two_party_scenario
 from lhvmodels.quantum import (
+    CHUNK,
     NO_CLICK,
     extend_with_inefficiency,
     joint_outcome_table,
@@ -144,6 +145,19 @@ def test_tabulate_matches_counter_reference(random23, rng):
         model.tabulate(np.array([[0, 3]]))
 
 
+def test_sampler_rejects_bad_arguments_before_drawing(chsh):
+    model = TwoPartyModel(chsh)
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(DomainError, match="n=-1"):
+        model.sample_many((0, 0), -1, rng)
+    with pytest.raises(DomainError, match="out of range"):
+        model.sample_many((2, 0), 5, rng)
+    assert rng.bit_generator.state == state
+    empty = model.sample_many((0, 0), 0, rng)
+    assert empty.shape == (0, 2) and empty.dtype == np.int64
+
+
 def test_sampler_matches_on_random_scenario(random23, rng):
     model = TwoPartyModel(random23)
     exact = model.exact_distribution()
@@ -252,3 +266,70 @@ def test_array_tables_match_pair_loops_bit_for_bit(settings, chsh, random23):
     assert _bits(new[1]) == _bits(marg_b)
     assert _bits(new[2]) == _bits(cond_b.transpose(1, 0, 2, 3))
     assert _bits(new[3]) == _bits(cond_a)
+
+
+# ---------------------------------------------------------------------------
+# transcript oracle: the sampler that looked up every role for every draw
+# ---------------------------------------------------------------------------
+
+
+def _all_draws_sample_many(model, settings, n, rng):
+    """The sampler as it was before draws were split by role: all four
+    inverse-CDF lookups for every draw, then the masks pick the outputs."""
+    x, y = int(settings[0]), int(settings[1])
+    marg_a, marg_b, cond_b, cond_a = model._sampler_tables
+    g = float(model.symmetrization.proceed_prob)
+    r = float(model.symmetrization.role_prob)
+    u = rng.random((5, n))
+    proceed = u[0] < g
+    alice_guessed = u[1] < r
+    set_a = np.minimum((u[2] * model.m_a).astype(np.int64), model.m_a - 1)
+    set_b = np.minimum((u[2] * model.m_b).astype(np.int64), model.m_b - 1)
+    guess_a = np.sum(u[3][:, None] > marg_a[set_a], axis=1)
+    guess_a = np.minimum(guess_a, model.n_a - 1)
+    guess_b = np.sum(u[3][:, None] > marg_b[set_b], axis=1)
+    guess_b = np.minimum(guess_b, model.n_b - 1)
+    resp_b = np.sum(u[4][:, None] > cond_b[set_a, y, guess_a], axis=1)
+    resp_b = np.minimum(resp_b, model.n_b - 1)
+    resp_a = np.sum(u[4][:, None] > cond_a[x, set_b, guess_b], axis=1)
+    resp_a = np.minimum(resp_a, model.n_a - 1)
+    out = np.full((n, 2), -1, dtype=np.int64)
+    mask = proceed & alice_guessed
+    out[mask, 0] = np.where(set_a[mask] == x, guess_a[mask], -1)
+    out[mask, 1] = resp_b[mask]
+    mask = proceed & ~alice_guessed
+    out[mask, 1] = np.where(set_b[mask] == y, guess_b[mask], -1)
+    out[mask, 0] = resp_a[mask]
+    return out
+
+
+@pytest.mark.parametrize("name", ["chsh", "random23", "1x3", "3x1", "8x8"])
+def test_sampler_transcript_equals_all_draws_oracle(name, chsh, random23):
+    """Looking up only what each draw uses changes no output and leaves
+    the generator where the all-draws sampler left it, at every settings
+    pair, below, at and above one chunk of draws."""
+    scenario = {
+        "chsh": chsh,
+        "random23": random23,
+        "1x3": random_two_party_scenario(
+            np.random.default_rng(4), 1, 3, 3, (2, 2)
+        ),
+        "3x1": random_two_party_scenario(
+            np.random.default_rng(4), 3, 1, 3, (2, 2)
+        ),
+        "8x8": random_two_party_scenario(
+            np.random.default_rng(1), 8, 8, 4, (3, 3)
+        ),
+    }[name]
+    model = TwoPartyModel(scenario)
+    for n in (0, 1, 17, CHUNK + 3):
+        for seed in (0, 1):
+            for choice in scenario.settings_choices():
+                old_rng = np.random.default_rng(seed)
+                new_rng = np.random.default_rng(seed)
+                expected = _all_draws_sample_many(model, choice, n, old_rng)
+                got = model.sample_many(choice, n, new_rng)
+                assert got.dtype == expected.dtype
+                assert np.array_equal(got, expected), (n, seed, choice)
+                state = new_rng.bit_generator.state
+                assert state == old_rng.bit_generator.state
