@@ -319,6 +319,7 @@ def run_dimension_model(
     alice_rng = copy.deepcopy(rng)
     for c in chunk_sizes(samples):
         rng.random(out=skip[:c])
+    del skip  # the chunk loop below never reads it
 
     cum_x = np.cumsum(wx / d)
     cum_x[-1] = 1.0

@@ -25,8 +25,8 @@ weights for *all* M at once (:func:`positivity_scan`).
 Everything in this combinatorial layer uses exact rational arithmetic
 end-to-end — no stable floating-point evaluation of the recursion is known,
 and the positivity question is precisely about signs of tiny values.  The
-recursion runs fraction-free, on plain Python integers over one common
-denominator; results are returned as :class:`fractions.Fraction`.
+recursion runs fraction-free, as a first-order recurrence on plain Python
+integers; results are returned as :class:`fractions.Fraction`.
 """
 
 from __future__ import annotations
@@ -158,46 +158,47 @@ def recursion_r(n: int) -> list[Fraction]:
         c = q'_0(1)/q'_0(0) = (N-1)/N,
 
     with q'_i(k) the M-independent pattern factors of :func:`q_prime`.
-    Clearing denominators, the bracket for each (k, i) becomes the integer
+    That sum is never evaluated: it collapses to a first-order recurrence.
+    With u_i = r_i / (C(N,i) * (N-i)) and the binomial transform
+    V(k) = sum_{i<=k} C(k,i) u_i, step k (2 <= k < N) is equivalent to
 
-        (N-1)(N-k+1) C(k-1,i) - N(N-k) C(k,i)
+        V(k) = (N-1)/N * (N-k+1)/(N-k) * V(k-1),   V(0) = V(1) = 1/N,
 
-    over N * C(N,i) * (N-i), which is how the loop below evaluates it
-    (binomials updated incrementally along each row).
+    so V(k) = (N-1)^k / (N^k (N-k)).  Inverting the transform gives
+    u_k = S_k / N^k with
 
-    The loop is fraction-free, in the manner of Bareiss elimination: the
-    row terms u_i = r_i / (C(N,i) * (N-i)) are kept as integers W_i over
-    one common denominator S, so each step sums plain integer products,
+        S_k = sum_j C(k,j) (N-1)^j (-N)^(k-j) / (N-j)
+            = integral_0^1 t^(N-1-k) ((N-1) - N t)^k dt,
 
-        acc = sum_i W_i * bracket(k, i),   r_k = acc * C(N,k) / (N * S),
+    and integrating by parts gives S_0 = 1/N and
+    S_k = ((-1)^k + k N S_(k-1)) / (N-k).  The loop runs this fraction-free
+    on plain integers: with D_k = N (N-1) ... (N-k), P_0 = 1 and
+    P_k = (-1)^k D_(k-1) + k N P_(k-1), S_k = P_k / D_k and
 
-    and then rescales W and S by N(N-k) to append W_k = acc.  Building the
-    returned :class:`~fractions.Fraction` is the only gcd per k.  Only the
-    signs of the r_k matter downstream (sign(r_k) = sign(acc)), and they
-    sit at the edge of massive cancellation; no floating-point shortcut is
-    taken anywhere in this path.
+        r_k = C(N,k) P_k / (N^k D_(k-1))   for 1 <= k < N,
+        r_N = ((N-1)/N)^N,
+
+    so each r_k costs O(1) integer operations, and building the returned
+    :class:`~fractions.Fraction` is the only gcd per k.  Only the signs of
+    the r_k matter downstream (sign(r_k) = sign(P_k)), and they sit at the
+    edge of massive cancellation; no floating-point shortcut is taken
+    anywhere in this path.
     """
     n = int(n)
     if n < 2:
         raise DomainError(f"need N >= 2, got {n}")
-    r = [Fraction(1), Fraction(0)]
-    w = [1, 0]  # u_i = w[i] / s
-    s = n
-    for k in range(2, n + 1):
-        c_km1 = 1  # C(k-1, i), updated incrementally over i
-        c_k = 1  # C(k, i)
-        lead = (n - 1) * (n - k + 1)
-        tail = n * (n - k)
-        acc = 0
-        for i in range(k):
-            acc += w[i] * (lead * c_km1 - tail * c_k)
-            c_km1 = c_km1 * (k - 1 - i) // (i + 1)
-            c_k = c_k * (k - i) // (i + 1)
-        r.append(Fraction(acc * comb(n, k), n * s))
-        if k < n:
-            w = [v * tail for v in w]
-            w.append(acc)
-            s *= tail
+    r = [Fraction(1)]
+    binom = 1  # C(N, k)
+    p = 1  # P_k
+    d = n  # D_(k-1)
+    n_pow = 1  # N^k
+    for k in range(1, n):
+        binom = binom * (n - k + 1) // k
+        p = (-d if k % 2 else d) + k * n * p
+        n_pow *= n
+        r.append(Fraction(binom * p, n_pow * d))
+        d *= n - k
+    r.append(Fraction(n - 1, n) ** n)
     return r
 
 

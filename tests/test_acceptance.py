@@ -3,7 +3,7 @@
 Each test checks one headline guarantee end to end and records a single
 ``[ACCEPT] criterion N (...): PASS/FAIL`` line, echoed in the terminal
 summary.  Criterion 5's positivity sweep runs to N=200 by default; set
-``LHV_FULL_SCAN=1`` to run the full N=500 release check (about 76 s on a
+``LHV_FULL_SCAN=1`` to run the full N=500 release check (about 5 s on a
 2-core Xeon under Python 3.11).
 """
 

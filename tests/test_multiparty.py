@@ -108,13 +108,14 @@ def test_recursion_two_silent_closed_form():
 
 
 def test_recursion_all_silent_closed_form():
-    for n in range(2, 31):
+    for n in range(2, 201):
         assert recursion_r(n)[-1] == Fraction(n - 1, n) ** n
 
 
 def _reference_recursion_r(n):
-    """The recursion in plain Fraction arithmetic, one gcd per term: the
-    oracle for the fraction-free integer loop of ``recursion_r``."""
+    """The recursion's defining sum in plain Fraction arithmetic, one gcd
+    per term: an oracle for the first-order recurrence of ``recursion_r``
+    that shares none of its algebra."""
     r = [Fraction(1), Fraction(0)]
     u = [Fraction(1, n), Fraction(0)]  # u_i = r_i / (C(N,i) * (N-i))
     for k in range(2, n + 1):
@@ -138,6 +139,44 @@ def test_recursion_matches_fraction_reference():
         r = recursion_r(n)
         assert r == _reference_recursion_r(n)
         assert all(type(v) is Fraction for v in r)
+
+
+def _integer_loop_recursion_r(n):
+    """The defining sum run fraction-free, O(N) integer terms per r_k:
+    the row terms u_i = r_i / (C(N,i) * (N-i)) are kept as integers W_i
+    over one common denominator S, rescaled by N(N-k) after each step."""
+    r = [Fraction(1), Fraction(0)]
+    w = [1, 0]  # u_i = w[i] / s
+    s = n
+    for k in range(2, n + 1):
+        c_km1 = 1  # C(k-1, i), updated incrementally over i
+        c_k = 1  # C(k, i)
+        lead = (n - 1) * (n - k + 1)
+        tail = n * (n - k)
+        acc = 0
+        for i in range(k):
+            acc += w[i] * (lead * c_km1 - tail * c_k)
+            c_km1 = c_km1 * (k - 1 - i) // (i + 1)
+            c_k = c_k * (k - i) // (i + 1)
+        r.append(Fraction(acc * comb(n, k), n * s))
+        if k < n:
+            w = [v * tail for v in w]
+            w.append(acc)
+            s *= tail
+    return r
+
+
+def test_recursion_matches_integer_loop():
+    for n in range(2, 151):
+        assert recursion_r(n) == _integer_loop_recursion_r(n)
+
+
+def test_recursion_even_terms_positive():
+    """For even k < N the integrand t^(N-1-k) ((N-1) - N t)^k of S_k is
+    non-negative and not identically zero, so r_k > 0 (and r_N > 0)."""
+    for n in range(2, 201):
+        r = recursion_r(n)
+        assert all(r[k] > 0 for k in range(0, n + 1, 2))
 
 
 def test_recursion_values_stay_nonnegative_small():
