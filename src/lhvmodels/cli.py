@@ -42,6 +42,7 @@ import argparse
 import contextlib
 import csv
 import datetime as _dt
+import io
 import itertools
 import math
 import secrets
@@ -50,7 +51,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring
-from types import GeneratorType
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
@@ -83,34 +83,40 @@ from .verify import MIN_SAMPLES, compare_float, statistical_match
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _renderer(fmt: str) -> Callable[[Any], str]:
+class _Renderer(dict):
     """One report's scalar renderer: JSON text when ``fmt`` is ``"json"``,
-    else a CSV cell.
+    else a CSV cell.  Call it with any scalar; index it with a float for the
+    float path alone.
 
     Rationals become ``num/den``, floats keep 15 significant digits (JSON
     prints the rounded float's repr, so ``100`` in CSV is ``100.0`` in
     JSON), bools are lowercase, and numpy scalars count as their Python
-    values.  Each distinct float is formatted once per report, except zeros:
-    0.0 and -0.0 compare and hash alike but print differently.
+    values.  Each distinct float is formatted once per report and kept as a
+    key of this dict, except zeros: 0.0 and -0.0 compare and hash alike but
+    print differently.
     """
-    as_json = fmt == "json"
-    memo: dict[float, str] = {}
 
-    def render(x: Any) -> str:
+    def __init__(self, fmt: str):
+        super().__init__()
+        self.as_json = fmt == "json"
+
+    def __missing__(self, x: float) -> str:
+        text = f"{x:.15g}"
+        if self.as_json:
+            text = repr(float(text))
+            text = _NONFINITE.get(text, text)
+        if x:
+            self[x] = text
+        return text
+
+    def __call__(self, x: Any) -> str:
+        as_json = self.as_json
         if isinstance(x, str):
             return encode_basestring(x) if as_json else x
         if isinstance(x, np.generic):
             x = x.item()
         if isinstance(x, float):
-            text = memo.get(x)
-            if text is None:
-                text = f"{x:.15g}"
-                if as_json:
-                    text = repr(float(text))
-                    text = _NONFINITE.get(text, text)
-                if x:
-                    memo[x] = text
-            return text
+            return self[x]
         if isinstance(x, bool):
             return "true" if x else "false"
         if isinstance(x, Fraction):
@@ -121,23 +127,23 @@ def _renderer(fmt: str) -> Callable[[Any], str]:
             text = str(x)
         return encode_basestring(text) if as_json else text
 
-    return render
-
 
 def _emit_json(
-    write: Callable[[str], Any], value: Any, render: Callable[[Any], str],
+    write: Callable[[str], Any], value: Any, render: _Renderer,
     pad: str | None = "",
 ) -> None:
     """Write ``value`` as ``json.dump(..., ensure_ascii=False)`` lays it out:
     with ``indent=2`` when ``pad`` is the current indentation, on one line
-    when ``pad`` is None.  Lists and tuples become arrays; dicts and
-    generators of (key, value) pairs become objects, a generator written as
-    it is consumed; every other value goes through ``render``."""
+    when ``pad`` is None.  Lists and tuples become arrays and dicts become
+    objects; a :class:`_PerSetting` table writes itself (indented only);
+    every other value goes through ``render``."""
     if isinstance(value, (list, tuple)):
         items, brackets = enumerate(value), "[]"
-    elif isinstance(value, (dict, GeneratorType)):
-        items = value.items() if isinstance(value, dict) else value
-        brackets = "{}"
+    elif isinstance(value, dict):
+        items, brackets = value.items(), "{}"
+    elif isinstance(value, _PerSetting):
+        value.write_json(write, render, pad)
+        return
     else:
         write(render(value))
         return
@@ -151,6 +157,107 @@ def _emit_json(
         write(brackets)
     else:
         write(brackets[1] if pad is None else f"\n{pad}{brackets[1]}")
+
+
+def _csv_cell(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it in a row of several fields."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow([text, ""])
+    return buf.getvalue()[:-1]
+
+
+@dataclass(frozen=True)
+class _PerSetting:
+    """The ``per_setting`` part of a verify report: the model and target
+    tables as float arrays of shape (settings choices, outcome cells), both
+    in C order, with the settings keys, and the outcome keys in sorted order
+    with the columns that hold them.
+
+    It is written one settings block at a time from one per-report
+    template: each key's JSON prefix (or quoted CSV cell) is rendered once,
+    each block's model, target and ``abs_error`` values go through the
+    renderer's float path, and each block is one ``"".join``.
+    """
+
+    settings: list[str]
+    outcomes: list[str]
+    order: np.ndarray
+    model: np.ndarray
+    target: np.ndarray
+
+    @classmethod
+    def compare(cls, model_dist, target_dist) -> _PerSetting:
+        """``model_dist`` against ``target_dist``, settings choice by
+        settings choice."""
+        keys = [
+            ",".join(map(format_outcome, o))
+            for o in itertools.product(*model_dist.alphabets)
+        ]
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        settings = [_settings_key(c) for c in model_dist.settings_choices()]
+        return cls(
+            settings,
+            [keys[i] for i in order],
+            np.array(order, dtype=np.intp),
+            model_dist.probs.reshape(len(settings), len(keys)),
+            target_dist.probs.reshape(len(settings), len(keys)),
+        )
+
+    def _blocks(self, render: _Renderer):
+        """Per settings choice: its key, the text of the largest
+        |model - target|, and the model, target and |model - target| texts
+        of its cells in outcome-key order."""
+        text = render.__getitem__
+        for key, model, target in zip(self.settings, self.model, self.target):
+            model, target = model[self.order], target[self.order]
+            errors = np.abs(model - target)
+            yield (
+                key, text(float(errors.max())), map(text, model.tolist()),
+                map(text, target.tolist()), map(text, errors.tolist()),
+            )
+
+    def write_json(self, write: Callable[[str], Any], render: _Renderer,
+                   pad: str) -> None:
+        """Write the blocks as an indented JSON object at indentation
+        ``pad``: ``{settings: {max_abs_error, table: {outcomes: {model,
+        target, abs_error}}}}``."""
+        p2, p4, p6, p8 = (pad + "  " * i for i in (1, 2, 3, 4))
+        # one block: head, then per cell a prefix and the three values
+        # between constant separators, then the closing brackets
+        template: list[str] = [""]
+        for i, key in enumerate(self.outcomes):
+            close = f"\n{p6}}}," if i else ""
+            template += (
+                f'{close}\n{p6}{encode_basestring(key)}: {{\n{p8}"model": ', "",
+                f',\n{p8}"target": ', "", f',\n{p8}"abs_error": ', "",
+            )
+        template.append(f"\n{p6}}}\n{p4}}}\n{p2}}}")
+        write("{")
+        for i, (key, worst, model, target, errors) in enumerate(self._blocks(render)):
+            template[0] = (
+                f'{"," if i else ""}\n{p2}{encode_basestring(key)}: {{\n'
+                f'{p4}"max_abs_error": {worst},\n{p4}"table": {{'
+            )
+            template[2::6] = model
+            template[4::6] = target
+            template[6::6] = errors
+            write("".join(template))
+        write(f"\n{pad}}}")
+
+    def write_csv(self, write: Callable[[str], Any], render: _Renderer) -> None:
+        """Write one CSV row per cell: settings, outcomes, model, target,
+        abs_error."""
+        eol = "\r\n"
+        template: list[str] = []
+        for key in self.outcomes:
+            template += ("", f",{_csv_cell(key)},", "", ",", "", ",", "", eol)
+        n = len(self.outcomes)
+        for key, _, model, target, errors in self._blocks(render):
+            template[0::8] = [_csv_cell(key)] * n
+            template[2::8] = model
+            template[4::8] = target
+            template[6::8] = errors
+            write("".join(template))
 
 
 def _settings_key(settings: Sequence[int]) -> str:
@@ -186,20 +293,21 @@ def _write_report(
     config: RunConfig,
     body: dict | None,
     columns: Sequence[str],
-    rows: Iterable[Sequence[Any]],
+    rows: Iterable[Sequence[Any]] | _PerSetting,
 ) -> None:
     """Write one report, UTF-8, to ``config.out`` or stdout: the only code
     that opens the report output.  A file that cannot be opened is a usage
     error.
 
     JSON is ``{"config", "timestamp", **body}``; CSV is ``# key=value``
-    configuration lines, the timestamp, then ``columns`` and ``rows``.
+    configuration lines, the timestamp, then ``columns`` and ``rows`` (a
+    :class:`_PerSetting` table writes its own rows).
     ``body=None`` marks a streamed report: its JSON form is newline-delimited
     (a config line, then one object per row keyed by ``columns``), and each
     row is flushed as soon as it is written.
     """
     as_csv = config.fmt == "csv"
-    render = _renderer(config.fmt)
+    render = _Renderer(config.fmt)
     head = {"config": config.to_dict(), "timestamp": _timestamp()}
     try:
         out = (
@@ -215,6 +323,9 @@ def _write_report(
             fh.write(f"# timestamp={head['timestamp']}\n")
             writer = csv.writer(fh)
             writer.writerow(columns)
+            if isinstance(rows, _PerSetting):
+                rows.write_csv(fh.write, render)
+                rows = ()
         elif body is None:
             _emit_json(fh.write, head, render, None)
             fh.write("\n")
@@ -437,25 +548,6 @@ def _check_samples(samples: int | None) -> None:
         )
 
 
-def _comparison_tables(model_dist, target_dist):
-    """Per settings choice, in C order: the settings key, the largest
-    |model - target|, and (outcomes key, model, target, |model - target|)
-    for every cell, in sorted key order."""
-    keys = [
-        ",".join(map(format_outcome, o))
-        for o in itertools.product(*model_dist.alphabets)
-    ]
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    for choice in model_dist.settings_choices():
-        model = model_dist.probs[choice].reshape(-1)
-        target = target_dist.probs[choice].reshape(-1)
-        errors = np.abs(model - target)
-        m, t, e = model.tolist(), target.tolist(), errors.tolist()
-        yield _settings_key(choice), float(errors.max()), [
-            (keys[i], m[i], t[i], e[i]) for i in order
-        ]
-
-
 #: CSV columns of the verify reports: one row per cell of the comparison
 _VERIFY_COLUMNS = ("settings", "outcomes", "model", "target", "abs_error")
 
@@ -465,9 +557,9 @@ def _verify_model(model, scenario, tol):
     and its all-clicks conditional with the quantum table itself.
 
     Returns the report entries ``comparison``, ``conditional_on_clicks``
-    and ``per_setting``, the same per-setting table as rows under
-    :data:`_VERIFY_COLUMNS` (both lazy), the model's table, and whether
-    both checks pass.
+    and ``per_setting`` (a :class:`_PerSetting`, also the CSV rows under
+    :data:`_VERIFY_COLUMNS`), the model's table, and whether both checks
+    pass.
     """
     quantum = quantum_distribution(scenario)
     target = extend_with_inefficiency(quantum, float(model.eta))
@@ -480,23 +572,9 @@ def _verify_model(model, scenario, tol):
         "conditional_on_clicks": {
             "max_abs_error": cond_error, "pass": cond_error <= tol
         },
-        "per_setting": (
-            (skey, {
-                "max_abs_error": worst,
-                "table": (
-                    (okey, {"model": m, "target": t, "abs_error": e})
-                    for okey, m, t, e in cells
-                ),
-            })
-            for skey, worst, cells in _comparison_tables(model_dist, target)
-        ),
+        "per_setting": _PerSetting.compare(model_dist, target),
     }
-    rows = (
-        (skey, *cell)
-        for skey, _, cells in _comparison_tables(model_dist, target)
-        for cell in cells
-    )
-    return entries, rows, model_dist, report.passed and cond_error <= tol
+    return entries, model_dist, report.passed and cond_error <= tol
 
 
 def _cmd_two_party_verify(args) -> int:
@@ -513,7 +591,7 @@ def _cmd_two_party_verify(args) -> int:
     }
     config = RunConfig("two-party verify", params, seed, args.out, args.fmt)
     model = TwoPartyModel(scenario)
-    entries, rows, model_dist, passed = _verify_model(model, scenario, args.tol)
+    entries, model_dist, passed = _verify_model(model, scenario, args.tol)
     body: dict[str, Any] = {"eta": model.eta, **entries}
     if args.samples:
         rng = np.random.default_rng(seed)
@@ -530,7 +608,7 @@ def _cmd_two_party_verify(args) -> int:
             "checks": checks,
         }
     body["pass"] = passed
-    _write_report(config, body, _VERIFY_COLUMNS, rows)
+    _write_report(config, body, _VERIFY_COLUMNS, entries["per_setting"])
     return 0 if passed else 1
 
 
@@ -591,7 +669,7 @@ def _cmd_multiparty_verify(args) -> int:
         args.fmt,
     )
     model = MultipartyModel(scenario)
-    entries, rows, _, passed = _verify_model(model, scenario, args.tol)
+    entries, _, passed = _verify_model(model, scenario, args.tol)
     body = {
         "eta": model.eta,
         "n": model.n,
@@ -602,7 +680,7 @@ def _cmd_multiparty_verify(args) -> int:
         **entries,
         "pass": passed,
     }
-    _write_report(config, body, _VERIFY_COLUMNS, rows)
+    _write_report(config, body, _VERIFY_COLUMNS, entries["per_setting"])
     return 0 if passed else 1
 
 

@@ -15,7 +15,11 @@ import pytest
 from lhvmodels import cli
 from lhvmodels.cli import main
 from lhvmodels.multiparty import ScanRow
-from lhvmodels.presets import dimension_scenario, random_two_party_scenario
+from lhvmodels.presets import (
+    dimension_scenario,
+    ghz_scenario,
+    random_two_party_scenario,
+)
 from lhvmodels.quantum import CHUNK, scenario_to_json
 
 
@@ -31,6 +35,20 @@ def ghz_file(tmp_path, ghz3):
     path = tmp_path / "ghz.json"
     path.write_text(json.dumps(scenario_to_json(ghz3)), encoding="utf-8")
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def wide_files(tmp_path_factory):
+    """Scenario files whose report keys sort as strings, not numbers: 11
+    settings and 11 outcomes ("1,0" < "10,0" < "2,0", "∅" last), and GHZ-5
+    (7,776 cells)."""
+    wide = random_two_party_scenario(np.random.default_rng(2), 11, 3, 11, (2, 3))
+    paths = []
+    for name, scenario in (("wide", wide), ("ghz5", ghz_scenario(5))):
+        path = tmp_path_factory.mktemp("scenarios") / f"{name}.json"
+        path.write_text(json.dumps(scenario_to_json(scenario)), encoding="utf-8")
+        paths.append(str(path))
+    return paths
 
 
 def _strip_timestamps(text: str) -> list[str]:
@@ -385,7 +403,8 @@ def _float_leaves(node):
         yield node
 
 
-def _layout_cases(chsh_file, ghz_file):
+def _layout_cases(chsh_file, ghz_file, wide_files):
+    wide_file, ghz5_file = wide_files
     return [
         ["bounds", "--two-party", "--ma", "2:3", "--mb", "2:3"],
         ["bounds", "--multiparty", "--n", "2:4", "--m", "2:3"],
@@ -400,6 +419,8 @@ def _layout_cases(chsh_file, ghz_file):
         ["two-party", "verify", "--scenario", chsh_file, "--samples", "2000",
          "--seed", "3"],
         ["multiparty", "verify", "--scenario", ghz_file],
+        ["two-party", "verify", "--scenario", wide_file],
+        ["multiparty", "verify", "--scenario", ghz5_file],
         ["dim-model", "verify", "--d", "2", "--delta", "0.5236",
          "--samples", "4000", "--seed", "31"],
         ["dim-model", "verify", "--d", "3", "--epsilon", "2.0",
@@ -407,9 +428,11 @@ def _layout_cases(chsh_file, ghz_file):
     ]
 
 
-def test_report_layout_matches_the_standard_encoders(chsh_file, ghz_file, capsys):
+def test_report_layout_matches_the_standard_encoders(
+    chsh_file, ghz_file, wide_files, capsys
+):
     # independent oracles: the stdlib json encoder, and the csv reader
-    for argv in _layout_cases(chsh_file, ghz_file):
+    for argv in _layout_cases(chsh_file, ghz_file, wide_files):
         assert main(argv) in (0, 1), argv
         text = capsys.readouterr().out
         if argv[1] == "scan":
@@ -417,12 +440,19 @@ def test_report_layout_matches_the_standard_encoders(chsh_file, ghz_file, capsys
             for line in lines:
                 assert line == json.dumps(json.loads(line), ensure_ascii=False)
             reports = [json.loads(line) for line in lines]
+            cells = []
         else:
             report = json.loads(text)
             assert text == json.dumps(report, indent=2, ensure_ascii=False) + "\n"
             reports = [report]
-            for block in report.get("per_setting", {}).values():
+            blocks = report.get("per_setting", {})
+            for block in blocks.values():
                 assert list(block["table"]) == sorted(block["table"])
+            cells = [
+                [skey, okey, *cell.values()]
+                for skey, block in blocks.items()
+                for okey, cell in block["table"].items()
+            ]
         for x in _float_leaves(reports):
             assert float(f"{x:.15g}") == x, (argv, x)
 
@@ -433,6 +463,10 @@ def test_report_layout_matches_the_standard_encoders(chsh_file, ghz_file, capsys
         assert lines[: len(comments)] == comments
         header, *rows = csv.reader(io.StringIO("\n".join(lines[len(comments):])))
         assert rows and all(len(row) == len(header) for row in rows), argv
+        if cells:  # a verify report: its CSV rows are the JSON cells
+            assert header == ["settings", "outcomes", "model", "target", "abs_error"]
+            assert len(rows) == len(cells), argv
+            assert [[*row[:2], *map(float, row[2:])] for row in rows] == cells
         for cell in (c for row in rows for c in row):
             try:
                 x = float(cell)
@@ -443,7 +477,7 @@ def test_report_layout_matches_the_standard_encoders(chsh_file, ghz_file, capsys
 
 def _emitted(value, pad=""):
     parts = []
-    cli._emit_json(parts.append, value, cli._renderer("json"), pad)
+    cli._emit_json(parts.append, value, cli._Renderer("json"), pad)
     return "".join(parts)
 
 
@@ -462,9 +496,7 @@ def test_json_emitter_matches_json_dumps():
     }
     expected = json.dumps(tree, indent=2, ensure_ascii=False)
     assert _emitted(tree) == expected
-    assert _emitted((k, v) for k, v in tree.items()) == expected
     assert _emitted(tree, None) == json.dumps(tree, ensure_ascii=False)
-    assert _emitted(x for x in ()) == "{}"
     assert _emitted({"nan": math.nan}) == json.dumps({"nan": math.nan}, indent=2)
     numpy_scalars = [np.float64(0.1), np.float64(-0.0), np.int64(3), np.bool_(True)]
     assert _emitted(numpy_scalars) == json.dumps([0.1, -0.0, 3, True], indent=2)
@@ -472,9 +504,48 @@ def test_json_emitter_matches_json_dumps():
     assert _emitted([0.1 + 0.2, Fraction(2, 3)]) == json.dumps(
         [0.3, "2/3"], indent=2
     )
-    csv_cell = cli._renderer("csv")
+    csv_cell = cli._Renderer("csv")
     assert [csv_cell(v) for v in (100.0, -0.0, 0.1 + 0.2, Fraction(2, 3), True)] == [
         "100", "-0", "0.3", "2/3", "true"
+    ]
+
+
+def test_per_setting_template_matches_the_standard_encoders():
+    # signed zeros, repeated values and keys that need escaping or quoting,
+    # written by the template and by the stdlib encoders
+    model = np.array([[0.25, -0.0, 0.75, 0.0], [0.5, 0.1 + 0.2, 0.0, -0.0]])
+    target = np.array([[0.25, 0.0, 0.7, 0.05], [0.5, 0.3, 0.2, 0.0]])
+    order = np.array([2, 0, 3, 1])
+    outcomes = ["0", "1,∅", 'q"uote', "∅"]
+    table = cli._PerSetting(["0", "1"], outcomes, order, model, target)
+
+    def rounded(x):
+        return float(f"{x:.15g}")
+
+    expected = {}
+    for b, skey in enumerate(["0", "1"]):
+        m, t = model[b, order], target[b, order]
+        expected[skey] = {
+            "max_abs_error": rounded(np.abs(m - t).max()),
+            "table": {
+                key: {"model": rounded(mi), "target": rounded(ti),
+                      "abs_error": rounded(abs(mi - ti))}
+                for key, mi, ti in zip(outcomes, m.tolist(), t.tolist())
+            },
+        }
+    tree = {"per_setting": table, "pass": True}
+    assert _emitted(tree) == json.dumps(
+        {"per_setting": expected, "pass": True}, indent=2, ensure_ascii=False
+    )
+    assert "-0.0" in _emitted(tree)
+
+    parts = []
+    render = cli._Renderer("csv")
+    table.write_csv(parts.append, render)
+    assert list(csv.reader(io.StringIO("".join(parts)))) == [
+        [skey, key, *(render(cell[k]) for k in ("model", "target", "abs_error"))]
+        for skey, block in expected.items()
+        for key, cell in block["table"].items()
     ]
 
 
