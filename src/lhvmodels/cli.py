@@ -247,10 +247,9 @@ class _PerSetting:
     def write_csv(self, write: Callable[[str], Any], render: _Renderer) -> None:
         """Write one CSV row per cell: settings, outcomes, model, target,
         abs_error."""
-        eol = "\r\n"
         template: list[str] = []
         for key in self.outcomes:
-            template += ("", f",{_csv_cell(key)},", "", ",", "", ",", "", eol)
+            template += ("", f",{_csv_cell(key)},", "", ",", "", ",", "", "\n")
         n = len(self.outcomes)
         for key, _, model, target, errors in self._blocks(render):
             template[0::8] = [_csv_cell(key)] * n
@@ -301,7 +300,8 @@ def _write_report(
 
     JSON is ``{"config", "timestamp", **body}``; CSV is ``# key=value``
     configuration lines, the timestamp, then ``columns`` and ``rows`` (a
-    :class:`_PerSetting` table writes its own rows).
+    :class:`_PerSetting` table writes its own rows), every line ending in
+    ``\n``.
     ``body=None`` marks a streamed report: its JSON form is newline-delimited
     (a config line, then one object per row keyed by ``columns``), and each
     row is flushed as soon as it is written.
@@ -321,7 +321,7 @@ def _write_report(
             for key, value in head["config"].items():
                 fh.write(f"# {key}={value}\n")
             fh.write(f"# timestamp={head['timestamp']}\n")
-            writer = csv.writer(fh)
+            writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(columns)
             if isinstance(rows, _PerSetting):
                 rows.write_csv(fh.write, render)

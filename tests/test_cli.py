@@ -457,7 +457,9 @@ def test_report_layout_matches_the_standard_encoders(
             assert float(f"{x:.15g}") == x, (argv, x)
 
         assert main(argv + ["--format", "csv"]) in (0, 1), argv
-        lines = capsys.readouterr().out.splitlines()
+        text = capsys.readouterr().out
+        assert "\r" not in text, argv  # one line ending: "\n"
+        lines = text.splitlines()
         comments = [line for line in lines if line.startswith("# ")]
         assert comments[-1].startswith("# timestamp=")
         assert lines[: len(comments)] == comments
