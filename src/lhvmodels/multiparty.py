@@ -183,6 +183,18 @@ def recursion_r(n: int) -> list[Fraction]:
     the r_k matter downstream (sign(r_k) = sign(P_k)), and they sit at the
     edge of massive cancellation; no floating-point shortcut is taken
     anywhere in this path.
+
+    Every r_k is non-negative, for every N, with r_1 = 0 the only zero.
+    r_0 = 1 and r_N > 0, and for 1 <= k < N, r_k = C(N,k) (N-k) S_k / N^k
+    has the sign of S_k.  S_1 = (-1 + N S_0) / (N-1) = 0, and two steps of
+    the S recurrence give, for odd k >= 3,
+
+        S_k = ((k-1)(N+1) + k(k-1) N^2 S_(k-2)) / ((N-k+1)(N-k)).
+
+    By induction every odd S_k with k >= 3 is then positive: S_(k-2) >= 0,
+    and the rest of the numerator and the denominator are positive for
+    k < N.  Every even S_k = (1 + k N S_(k-1)) / (N-k) is positive too,
+    since S_(k-1) >= 0 (and S_0 = 1/N).
     """
     n = int(n)
     if n < 2:

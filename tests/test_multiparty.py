@@ -179,6 +179,23 @@ def test_recursion_even_terms_positive():
         assert all(r[k] > 0 for k in range(0, n + 1, 2))
 
 
+def test_recursion_two_step_identity_and_signs():
+    """The last link of the positivity proof in ``recursion_r``, on the
+    values it returns: S_1 = 0, S_k = ((k-1)(N+1) + k(k-1) N^2 S_(k-2)) /
+    ((N-k+1)(N-k)) for every odd 3 <= k < N, and S_k >= 0 throughout."""
+    for n in range(2, 301):
+        r = recursion_r(n)
+        s = [r[k] * n**k / (comb(n, k) * (n - k)) for k in range(n)]
+        assert s[0] == Fraction(1, n) and s[1] == 0
+        for k in range(3, n, 2):
+            assert s[k] == Fraction(
+                (k - 1) * (n + 1) + k * (k - 1) * n * n * s[k - 2],
+                (n - k + 1) * (n - k),
+            ), (n, k)
+        assert min(s) >= 0
+        assert [k for k, v in enumerate(r) if v == 0] == [1]
+
+
 def test_recursion_values_stay_nonnegative_small():
     for n in range(2, 60):
         assert min(recursion_r(n)) >= 0
