@@ -26,7 +26,10 @@ that opens the output; the library work of a command is done before it
 opens.  Reports embed the fully resolved run configuration and an ISO
 timestamp; apart from the timestamp, identical configuration and seed
 reproduce the report byte for byte.  JSON reports have ``json.dump``'s
-``indent=2`` layout; CSV reports start with ``# key=value`` lines.
+``indent=2`` layout; CSV reports start with ``# key=value`` lines, and every
+CSV line ends in ``\\n``.  A verify report's ``per_setting`` table is written
+one settings block at a time from one per-report template
+(:class:`_PerSetting`), never built whole in memory.
 Rationals are rendered as ``num/den`` strings, floats with 15 significant
 digits, and the silent outcome as ``∅``.  Scans stream one row per N,
 flushed immediately: CSV rows, or newline-delimited JSON after a config
@@ -225,11 +228,12 @@ class _PerSetting:
         # one block: head, then per cell a prefix and the three values
         # between constant separators, then the closing brackets
         template: list[str] = [""]
+        target_label, error_label = f',\n{p8}"target": ', f',\n{p8}"abs_error": '
         for i, key in enumerate(self.outcomes):
             close = f"\n{p6}}}," if i else ""
             template += (
                 f'{close}\n{p6}{encode_basestring(key)}: {{\n{p8}"model": ', "",
-                f',\n{p8}"target": ', "", f',\n{p8}"abs_error": ', "",
+                target_label, "", error_label, "",
             )
         template.append(f"\n{p6}}}\n{p4}}}\n{p2}}}")
         write("{")
@@ -301,7 +305,7 @@ def _write_report(
     JSON is ``{"config", "timestamp", **body}``; CSV is ``# key=value``
     configuration lines, the timestamp, then ``columns`` and ``rows`` (a
     :class:`_PerSetting` table writes its own rows), every line ending in
-    ``\n``.
+    ``\\n``.
     ``body=None`` marks a streamed report: its JSON form is newline-delimited
     (a config line, then one object per row keyed by ``columns``), and each
     row is flushed as soon as it is written.
