@@ -99,19 +99,6 @@ class DimensionModelParams:
         return eta_lower_bound(self.d, eps)
 
 
-def symmetrized_efficiency(q: float) -> float:
-    """Efficiency 2Q/(1+Q) of the role-symmetrized model, given Alice's
-    firing probability Q in (0, 1).
-
-    Satisfies eta^2 = s Q and eta(1-eta) = s (1-Q)/2 with
-    s = 1 - (1-eta)^2 the probability that at least one detector fires.
-    """
-    q = float(q)
-    if not 0.0 < q < 1.0:
-        raise DomainError(f"firing probability must lie in (0,1), got {q}")
-    return eta_symmetrized(q)
-
-
 def _rank_one_arrays(
     elements: Sequence[RankOnePovmElement],
 ) -> tuple[np.ndarray, np.ndarray, list[Any]]:
@@ -289,6 +276,17 @@ def run_dimension_model(
     ``samples``; the chunks consume exactly the stream one batch of
     ``samples`` would, and leave ``rng`` where that batch would.
 
+    Each chunk makes one complex product of the stacked directions (Alice's
+    conjugated, Bob's plain) with the hidden states, and squares its moduli
+    as re^2 + im^2 in the product's own memory: these quadratic forms are
+    Alice's overlaps |<x_a|phi>|^2 and Bob's |<phi*|y_b>|^2.  Alice compares
+    her drawn element's overlap with cos^2 delta; Bob draws against his
+    unnormalized cumulative weights, with the uniform scaled by their total.
+    The counts equal those of the textbook arithmetic (normalized weights,
+    a cumulative table ending in 1), which the tests keep as the oracle;
+    intermediate floats differ from it in their last bits, so a count could
+    move only for a draw within a few ulps of a threshold.
+
     Raises :class:`ZeroFiringError` if no hidden state passes Alice's
     threshold (delta too small for the sample budget).
     """
@@ -324,28 +322,41 @@ def run_dimension_model(
     cum_x = np.cumsum(wx / d)
     cum_x[-1] = 1.0
     cos2_delta = math.cos(delta) ** 2
+    n_rx = len(wx)
+    # One product gives Alice's <x_a|phi> (conjugated rows) and Bob's
+    # <phi*|y_b> = sum_i phi_i y_i, phi* relative to the basis in which the
+    # shared state is (1/sqrt d) sum |ii>.  One row per rank-one element,
+    # one column per draw, so each element's values are read in one sweep.
+    dirs = np.concatenate([dir_x.conj(), dir_y])
     n_fired = 0
     joint_counts = np.zeros(n_x * n_y, dtype=np.int64)
     bob_counts = np.zeros(n_y, dtype=np.int64)
     for c in chunk_sizes(samples):
-        phi = haar_random_state(d, normal_rng, size=c)
+        amp = dirs @ haar_random_state(d, normal_rng, size=c).T
+        # squared moduli re^2 + im^2, in the product's own memory; summed
+        # row by row, since a whole-block sum of the interleaved halves
+        # would copy one half first
+        sq = amp.view(np.float64)
+        np.square(sq, out=sq)
+        p = sq[:, 0::2]
+        for k in range(len(p)):
+            p[k] += sq[k, 1::2]
 
         # Alice: outcome first (prob |x_a|/d), then the overlap threshold
         a_ref = np.searchsorted(cum_x, alice_rng.random(c), side="right")
-        a_ref = np.minimum(a_ref, len(wx) - 1)
-        overlap = np.abs(np.sum(phi.conj() * dir_x[a_ref], axis=1)) ** 2
-        fired = overlap >= cos2_delta
+        a_ref = np.minimum(a_ref, n_rx - 1)
+        fired = p[a_ref, np.arange(c)] >= cos2_delta
 
-        # Bob: probability |y_b| |<phi*|y_b>|^2, phi* relative to the basis
-        # in which the shared state is (1/sqrt d) sum |ii>
-        amp = phi @ dir_y.T  # <phi*|y_b> = sum_i phi_i y_i
-        w_bob = wy * np.abs(amp) ** 2
-        w_bob /= w_bob.sum(axis=1, keepdims=True)
-        cum_bob = np.cumsum(w_bob, axis=1)
-        cum_bob[:, -1] = 1.0
+        # Bob: probability |y_b| |<phi*|y_b>|^2, drawn against the
+        # unnormalized cumulative weights scaled by their total
+        cum_bob = p[n_rx:]
+        cum_bob *= wy[:, None]
+        for j in range(1, len(cum_bob)):
+            cum_bob[j] += cum_bob[j - 1]
         u = rng.random(c)
-        b_ref = inverse_cdf(u, cum_bob)
-        b_par = coarse_y[np.minimum(b_ref, len(wy) - 1)]
+        b_par = coarse_y[inverse_cdf(u * cum_bob[-1], cum_bob[:-1].T)]
+        # free the product (and its views) before the next one is made
+        del amp, sq, p, cum_bob
 
         n_fired += int(np.count_nonzero(fired))
         joint_counts += np.bincount(

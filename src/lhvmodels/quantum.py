@@ -219,6 +219,11 @@ def haar_random_state(
     into a complex vector which is then normalized.  The resulting
     distribution is invariant under every fixed unitary.
 
+    The ``(n, d, 2)`` block of normals is normalized in place, each row
+    divided by the square root of its sum of squares, and returned as a
+    complex view of the same memory (no copy).  The result equals
+    ``(g0 + 1j*g1) / norm`` up to rounding in the last bits of the norm.
+
     Parameters
     ----------
     d : int
@@ -233,8 +238,8 @@ def haar_random_state(
         raise DomainError(f"need dimension >= 1, got {d}")
     n = 1 if size is None else int(size)
     g = rng.standard_normal((n, d, 2))
-    z = g[..., 0] + 1j * g[..., 1]
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    g /= np.sqrt(np.einsum("ijk,ijk->i", g, g))[:, None, None]
+    z = g.view(np.complex128)[..., 0]
     return z[0] if size is None else z
 
 

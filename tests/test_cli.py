@@ -14,13 +14,21 @@ import pytest
 
 from lhvmodels import cli
 from lhvmodels.cli import main
-from lhvmodels.multiparty import ScanRow
+from lhvmodels.multiparty import MultipartyModel, ScanRow
 from lhvmodels.presets import (
     dimension_scenario,
     ghz_scenario,
     random_two_party_scenario,
 )
-from lhvmodels.quantum import CHUNK, scenario_to_json
+from lhvmodels.quantum import (
+    CHUNK,
+    extend_with_inefficiency,
+    format_outcome,
+    load_scenario,
+    quantum_distribution,
+    scenario_to_json,
+)
+from lhvmodels.two_party import TwoPartyModel
 
 
 @pytest.fixture
@@ -475,6 +483,64 @@ def test_report_layout_matches_the_standard_encoders(
             except ValueError:
                 continue
             assert f"{x:.15g}" == cell, (argv, cell)
+
+
+def _report_cells(text: str, fmt: str) -> dict:
+    """{(settings key, outcomes key): (model, target, abs_error)} of a
+    verify report."""
+    if fmt == "json":
+        return {
+            (skey, okey): (cell["model"], cell["target"], cell["abs_error"])
+            for skey, block in json.loads(text)["per_setting"].items()
+            for okey, cell in block["table"].items()
+        }
+    lines = [line for line in text.splitlines() if not line.startswith("# ")]
+    _, *rows = csv.reader(io.StringIO("\n".join(lines)))
+    return {(s, o): tuple(map(float, values)) for s, o, *values in rows}
+
+
+def _keyed(dist) -> dict:
+    """An outcome table's cells under their report keys."""
+    return {
+        (",".join(map(str, s)), ",".join(map(format_outcome, o))): p
+        for (s, o), p in dist.table.items()
+    }
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("case", ["chsh", "ghz3", "wide"])
+def test_report_cells_hold_the_exact_tables_by_key(
+    chsh_file, ghz_file, wide_files, tmp_path, fmt, case
+):
+    # each report cell, looked up by its (settings, outcomes) key, carries
+    # the model's exact value and the eta-extended quantum value there; the
+    # wide scenario's outcome keys sort as strings, not in C order
+    path, command, model_cls = {
+        "chsh": (chsh_file, "two-party", TwoPartyModel),
+        "ghz3": (ghz_file, "multiparty", MultipartyModel),
+        "wide": (wide_files[0], "two-party", TwoPartyModel),
+    }[case]
+    out = tmp_path / f"report.{fmt}"
+    argv = [command, "verify", "--scenario", path, "--format", fmt,
+            "--out", str(out)]
+    assert main(argv) == 0
+    cells = _report_cells(out.read_text(encoding="utf-8"), fmt)
+
+    scenario = load_scenario(path)
+    model = model_cls(scenario)
+    exact = _keyed(model.exact_distribution())
+    target = _keyed(
+        extend_with_inefficiency(quantum_distribution(scenario), float(model.eta))
+    )
+    assert cells.keys() == exact.keys() == target.keys()
+
+    def rounded(x):
+        return float(f"{x:.15g}")
+
+    for key, (m, t, err) in cells.items():
+        assert m == rounded(exact[key]), key
+        assert t == rounded(target[key]), key
+        assert err == rounded(abs(exact[key] - target[key])), key
 
 
 def _emitted(value, pad=""):

@@ -12,7 +12,6 @@ from lhvmodels.dimension import (
     alice_respond,
     bob_respond,
     run_dimension_model,
-    symmetrized_efficiency,
 )
 from lhvmodels.errors import DomainError, ZeroFiringError
 from lhvmodels.presets import computational_povm, random_povm
@@ -38,19 +37,20 @@ def test_params_rejects_bad_arguments(d, delta):
         DimensionModelParams(d, delta)
 
 
-def test_symmetrized_efficiency_solves_matching_conditions():
-    assert symmetrized_efficiency(0.25) == pytest.approx(0.4)
-    for q in (0.01, 0.25, 0.5, 0.9):
-        eta = symmetrized_efficiency(q)
+def test_params_eta_solves_matching_conditions():
+    # eta^2 = s Q and eta (1 - eta) = s (1 - Q)/2, with s = 1 - (1-eta)^2
+    # the probability that at least one detector fires
+    for d, delta in ((2, math.pi / 6), (2, 0.1), (3, 0.9), (4, 0.5236),
+                     (5, 1.3)):
+        params = DimensionModelParams(d, delta)
+        q, eta = params.fire_prob, params.eta
+        assert 0.0 < q < 1.0
         proceed = 1 - (1 - eta) ** 2
         assert eta**2 == pytest.approx(proceed * q, abs=1e-12)
         assert eta * (1 - eta) == pytest.approx(
             proceed * (1 - q) / 2, abs=1e-12
         )
-    with pytest.raises(DomainError):
-        symmetrized_efficiency(0.0)
-    with pytest.raises(DomainError):
-        symmetrized_efficiency(1.0)
+    assert DimensionModelParams(3, math.pi / 2).eta == 1.0
 
 
 def test_alice_always_fires_at_right_angle(rng):
@@ -178,17 +178,27 @@ def _one_batch_counts(d, delta, x_povm, y_povm, samples, rng):
     return int(fired.sum()), joint, np.bincount(b_par, minlength=n_y)
 
 
+#: Outcome counts of the random POVMs (Alice's, Bob's) per case name.
+_RANDOM_OUTCOMES = {"random": (4, 3), "random-6-5": (6, 5)}
+
+
 @pytest.mark.parametrize("d, delta, povms", [
     (2, math.pi / 6, "computational"),
     (3, math.pi / 4, "random"),
+    (4, 0.5236, "computational"),  # the benchmark's case
+    # refined to more rank-one elements than d on both sides
+    (4, 0.9, "random-6-5"),
 ])
 def test_chunked_run_consumes_the_one_batch_stream(d, delta, povms):
     # chunks split the draws, not the random stream: the counts and the
     # caller's generator state match one batch of every draw
     samples = 2 * CHUNK + 17
-    if povms == "random":
+    if povms in _RANDOM_OUTCOMES:
+        n_a, n_b = _RANDOM_OUTCOMES[povms]
         povm_rng = np.random.default_rng(3)
-        x_povm, y_povm = random_povm(d, 4, povm_rng), random_povm(d, 3, povm_rng)
+        x_povm, y_povm = random_povm(d, n_a, povm_rng), random_povm(d, n_b, povm_rng)
+        assert len(refine_to_rank_one(x_povm)) > d
+        assert len(refine_to_rank_one(y_povm)) > d
     else:
         x_povm = y_povm = computational_povm(d)
     rng, ref_rng = np.random.default_rng(77), np.random.default_rng(77)

@@ -1,6 +1,7 @@
 """N-party protocol family: click probabilities, the exact rational weight
 solve, the positivity recursion, and the full model against quantum."""
 
+import random
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -194,6 +195,100 @@ def test_recursion_two_step_identity_and_signs():
             ), (n, k)
         assert min(s) >= 0
         assert [k for k, v in enumerate(r) if v == 0] == [1]
+
+
+#: (N, k) pairs of the proof-link tests: every 1 <= k < N for small N, and
+#: sampled k up to N - 1 at large N, where the cancellation is largest.
+_LINK_SMALL = [(n, k) for n in range(2, 31) for k in range(1, n)]
+_LINK_LARGE = [(499, k) for k in (2, 3, 17, 249, 497, 498)] + [
+    (n, k) for n in (1999, 2000) for k in (2, 17, n // 2, n - 2, n - 1)
+]
+
+
+def _binomials(k):
+    """C(k, 0), ..., C(k, k)."""
+    row = [1]
+    for i in range(k):
+        row.append(row[-1] * (k - i) // (i + 1))
+    return row
+
+
+def _s_closed(n, k):
+    """S_k = sum_j C(k,j) (N-1)^j (-N)^(k-j) / (N-j), the term-by-term
+    integral of t^(N-1-k) ((N-1) - N t)^k over [0, 1].  The terms are
+    integers over the common denominator D = prod_(j<=k) (N-j), each made
+    from the last by small-integer factors (exact divisions)."""
+    den = 1
+    for j in range(k + 1):
+        den *= n - j
+    term = (-n) ** k * (den // n)  # j = 0
+    total = term
+    for j in range(k):
+        term = term * (k - j) * (n - 1) * (n - j) // ((j + 1) * -n * (n - j - 1))
+        total += term
+    return Fraction(total, den)
+
+
+def _v_closed(n, k):
+    """V(k) = (N-1)^k / (N^k (N-k))."""
+    return Fraction((n - 1) ** k, n**k * (n - k))
+
+
+def _check_link_1(n, k):
+    """Link 1 at one (N, k): whatever r_0..r_(k-1) are, the defining sum's
+    r_k gives (N-k) V(k) = (N-1)/N (N-k+1) V(k-1), with u_i = r_i /
+    (C(N,i) (N-i)) and V(k) = sum_(i<=k) C(k,i) u_i."""
+    rng = random.Random(n * 100_003 + k)
+    u = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(k)]
+    c_n = _binomials(n)
+    r = [u[i] * c_n[i] * (n - i) for i in range(k)]
+    c = Fraction(n - 1, n)
+    r_k = c_n[k] * sum(
+        r[i] * (c * q_prime(n, i, k - 1) - q_prime(n, i, k)) for i in range(k)
+    )
+    u.append(r_k / (c_n[k] * (n - k)))
+    v_prev = sum(b * x for b, x in zip(_binomials(k - 1), u))
+    v_k = sum(b * x for b, x in zip(_binomials(k), u))
+    assert (n - k) * v_k == c * (n - k + 1) * v_prev, (n, k)
+
+
+def test_positivity_link_1_defining_sum_gives_the_v_recurrence():
+    """Link 1, for arbitrary earlier r_i; the closed form V(k) =
+    (N-1)^k / (N^k (N-k)) solves the recurrence from V(0) = V(1) = 1/N
+    (the defining sum's r_1 = 0 from r_0 = 1)."""
+    # at most one k near N = 2000: q_prime's exact binomials cost ~1 s there
+    large = [(n, k) for n, k in _LINK_LARGE if k < 500 or k == n - 1 == 1999]
+    for n, k in _LINK_SMALL + large:
+        if k >= 2:
+            _check_link_1(n, k)
+        c = Fraction(n - 1, n)
+        assert (n - k) * _v_closed(n, k) == c * (n - k + 1) * _v_closed(n, k - 1)
+    for n in range(2, 31):
+        # the defining sum's r_1 = N (c q'_0(0) - q'_0(1)) vanishes
+        assert Fraction(n - 1, n) * q_prime(n, 0, 0) == q_prime(n, 0, 1)
+        assert _v_closed(n, 0) == _v_closed(n, 1) == Fraction(1, n)
+
+
+def test_positivity_link_2_binomial_inversion():
+    """Link 2: u_k = S_k / N^k has the binomial transform V(k) of link 1,
+    sum_(i<=k) C(k,i) u_i = V(k), so it is the transform's inverse: every
+    k < N on the small grid, and k <= 12, 100 and 200 at large N."""
+    for n in range(2, 31):
+        u = [_s_closed(n, i) / n**i for i in range(n)]
+        for k in range(n):
+            assert sum(b * x for b, x in zip(_binomials(k), u)) == _v_closed(n, k)
+    for n in (499, 1999, 2000):
+        u = [_s_closed(n, i) / n**i for i in range(201)]
+        for k in [*range(13), 100, 200]:
+            assert sum(b * x for b, x in zip(_binomials(k), u)) == _v_closed(n, k)
+
+
+def test_positivity_link_3_integration_by_parts():
+    """Link 3: S_0 = 1/N and S_k = ((-1)^k + k N S_(k-1)) / (N-k)."""
+    for n, k in _LINK_SMALL + _LINK_LARGE:
+        assert _s_closed(n, 0) == Fraction(1, n)
+        s_prev = _s_closed(n, k - 1)
+        assert _s_closed(n, k) == ((-1) ** k + k * n * s_prev) / (n - k), (n, k)
 
 
 def test_recursion_values_stay_nonnegative_small():

@@ -106,6 +106,24 @@ def test_haar_states_are_normalized(rng):
     )
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_haar_batch_is_the_normalized_normal_block(d):
+    # one (n, d, 2) standard-normal draw, normalized in place: the stream,
+    # the norm and the values of the plain complex formula
+    n = 5000
+    rng, ref_rng = np.random.default_rng(d), np.random.default_rng(d)
+    batch = haar_random_state(d, rng, size=n)
+    g = ref_rng.standard_normal((n, d, 2))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert batch.shape == (n, d) and batch.dtype == np.complex128
+    assert np.max(np.abs(np.linalg.norm(batch, axis=1) - 1.0)) <= 1e-15
+    plain = g[..., 0] + 1j * g[..., 1]
+    plain /= np.linalg.norm(plain, axis=1, keepdims=True)
+    np.testing.assert_array_max_ulp(
+        batch.view(np.float64), plain.view(np.float64), maxulp=4
+    )
+
+
 def test_haar_overlap_moments(rng):
     """|<e0|psi>|^2 is Beta(1, d-1): mean 1/d, known tail probability."""
     d, n = 4, 20000
