@@ -25,18 +25,18 @@ One writer, ``_write_report``, writes every report and is the only code
 that opens the output; the library work of a command is done before it
 opens.  Reports embed the fully resolved run configuration and an ISO
 timestamp; apart from the timestamp, identical configuration and seed
-reproduce the report byte for byte.  JSON reports have ``json.dump``'s
-``indent=2`` layout; CSV reports start with ``# key=value`` lines, and every
-CSV line ends in ``\\n``.  A verify report's ``per_setting`` table is written
-one settings block at a time from one per-report template
-(:class:`_PerSetting`), never built whole in memory.
+reproduce the report byte for byte.  JSON reports are ``json.dumps`` with
+``indent=2`` of the report as :func:`_plain` converts it; CSV reports start
+with ``# key=value`` lines, and every CSV line ends in ``\\n``.  A verify
+report's ``per_setting`` table is written one settings block at a time from
+one per-report template (:class:`_PerSetting`), never built whole in memory.
 Rationals are rendered as ``num/den`` strings, floats with 15 significant
 digits, and the silent outcome as ``∅``.  Scans stream one row per N,
 flushed immediately: CSV rows, or newline-delimited JSON after a config
 line.  Exit status: 0 on pass or completion, 1 on verification failure, 2
 on usage errors (including malformed scenario files, a ``--tol`` or
-``--d`` out of range, a ``--samples`` below ``verify.MIN_SAMPLES``, and
-a report file that cannot be opened).
+``--d`` out of range, a ``--samples`` below ``verify.MIN_SAMPLES``, a
+negative ``--seed``, and a report file that cannot be opened).
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ import csv
 import datetime as _dt
 import io
 import itertools
+import json
 import math
 import secrets
 import sys
@@ -87,9 +88,9 @@ _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 class _Renderer(dict):
-    """One report's scalar renderer: JSON text when ``fmt`` is ``"json"``,
-    else a CSV cell.  Call it with any scalar; index it with a float for the
-    float path alone.
+    """One report's float renderer, indexed with a float: the text of a JSON
+    number when ``fmt`` is ``"json"``, else a CSV cell.  Called with any
+    scalar, it gives the CSV cell.
 
     Rationals become ``num/den``, floats keep 15 significant digits (JSON
     prints the rounded float's repr, so ``100`` in CSV is ``100.0`` in
@@ -113,9 +114,6 @@ class _Renderer(dict):
         return text
 
     def __call__(self, x: Any) -> str:
-        as_json = self.as_json
-        if isinstance(x, str):
-            return encode_basestring(x) if as_json else x
         if isinstance(x, np.generic):
             x = x.item()
         if isinstance(x, float):
@@ -123,43 +121,33 @@ class _Renderer(dict):
         if isinstance(x, bool):
             return "true" if x else "false"
         if isinstance(x, Fraction):
-            text = f"{x.numerator}/{x.denominator}"
-        elif as_json and (x is None or isinstance(x, int)):
-            return "null" if x is None else int.__repr__(x)
-        else:
-            text = str(x)
-        return encode_basestring(text) if as_json else text
+            return f"{x.numerator}/{x.denominator}"
+        return str(x)
 
 
-def _emit_json(
-    write: Callable[[str], Any], value: Any, render: _Renderer,
-    pad: str | None = "",
-) -> None:
-    """Write ``value`` as ``json.dump(..., ensure_ascii=False)`` lays it out:
-    with ``indent=2`` when ``pad`` is the current indentation, on one line
-    when ``pad`` is None.  Lists and tuples become arrays and dicts become
-    objects; a :class:`_PerSetting` table writes itself (indented only);
-    every other value goes through ``render``."""
+#: Stands in for a :class:`_PerSetting` table in the encoded report; it
+#: starts with NUL, which no other report string holds (argv cannot)
+_TABLE = "\0per_setting"
+
+
+def _plain(value: Any) -> Any:
+    """``value`` with the report's scalars in their JSON form: rationals as
+    ``num/den`` strings, floats rounded to 15 significant digits, numpy
+    scalars as Python values, tuples as lists and a :class:`_PerSetting`
+    table as the :data:`_TABLE` placeholder."""
+    if isinstance(value, dict):
+        return {str(k): _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        items, brackets = enumerate(value), "[]"
-    elif isinstance(value, dict):
-        items, brackets = value.items(), "{}"
-    elif isinstance(value, _PerSetting):
-        value.write_json(write, render, pad)
-        return
-    else:
-        write(render(value))
-        return
-    inner = None if pad is None else pad + "  "
-    first = sep = brackets[0] if pad is None else f"{brackets[0]}\n{inner}"
-    for key, item in items:
-        write(sep if brackets == "[]" else f"{sep}{encode_basestring(str(key))}: ")
-        _emit_json(write, item, render, inner)
-        sep = ", " if pad is None else f",\n{inner}"
-    if sep is first:
-        write(brackets)
-    else:
-        write(brackets[1] if pad is None else f"\n{pad}{brackets[1]}")
+        return [_plain(v) for v in value]
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, float):
+        return float(f"{value:.15g}")
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, _PerSetting):
+        return _TABLE
+    return value
 
 
 def _csv_cell(text: str) -> str:
@@ -303,9 +291,9 @@ def _write_report(
     error.
 
     JSON is ``{"config", "timestamp", **body}``; CSV is ``# key=value``
-    configuration lines, the timestamp, then ``columns`` and ``rows`` (a
-    :class:`_PerSetting` table writes its own rows), every line ending in
-    ``\\n``.
+    configuration lines, the timestamp, then ``columns`` and ``rows``.  A
+    :class:`_PerSetting` table, in ``body`` and as ``rows``, writes itself.
+    Every line ends in ``\\n``.
     ``body=None`` marks a streamed report: its JSON form is newline-delimited
     (a config line, then one object per row keyed by ``columns``), and each
     row is flushed as soon as it is written.
@@ -331,19 +319,22 @@ def _write_report(
                 rows.write_csv(fh.write, render)
                 rows = ()
         elif body is None:
-            _emit_json(fh.write, head, render, None)
-            fh.write("\n")
+            fh.write(json.dumps(_plain(head), ensure_ascii=False) + "\n")
         else:
-            _emit_json(fh.write, {**head, **body}, render)
-            fh.write("\n")
+            text = json.dumps(_plain({**head, **body}), indent=2, ensure_ascii=False)
+            before, table, after = text.partition(json.dumps(_TABLE))
+            fh.write(before)
+            if table:
+                rows.write_json(fh.write, render, "  ")
+            fh.write(after + "\n")
             rows = ()  # a JSON report's rows are in its body
         fh.flush()
         for row in rows:
             if as_csv:
                 writer.writerow([render(v) for v in row])
             else:
-                _emit_json(fh.write, dict(zip(columns, row)), render, None)
-                fh.write("\n")
+                line = json.dumps(_plain(dict(zip(columns, row))), ensure_ascii=False)
+                fh.write(line + "\n")
             if body is None:
                 fh.flush()
         fh.flush()
@@ -552,6 +543,11 @@ def _check_samples(samples: int | None) -> None:
         )
 
 
+def _check_seed(seed: int | None) -> None:
+    if seed is not None and seed < 0:
+        raise DomainError(f"--seed must be >= 0, got {seed}")
+
+
 #: CSV columns of the verify reports: one row per cell of the comparison
 _VERIFY_COLUMNS = ("settings", "outcomes", "model", "target", "abs_error")
 
@@ -584,6 +580,7 @@ def _verify_model(model, scenario, tol):
 def _cmd_two_party_verify(args) -> int:
     _check_tol(args.tol)
     _check_samples(args.samples)
+    _check_seed(args.seed)
     scenario = load_scenario(args.scenario)
     seed = args.seed
     if args.samples and seed is None:
@@ -692,6 +689,7 @@ def _cmd_dim_model_verify(args) -> int:
     if args.d < 2:
         raise DomainError(f"need dimension >= 2, got {args.d}")
     _check_samples(args.samples)
+    _check_seed(args.seed)
     seed = args.seed if args.seed is not None else secrets.randbits(63)
     if args.delta is not None:
         delta = args.delta

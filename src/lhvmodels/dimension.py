@@ -20,7 +20,11 @@ the roles gives detector efficiency eta = 2Q/(1+Q) >= (epsilon/4d)^(2(d-1)).
 :func:`run_dimension_model` estimates all of this by vectorized Monte
 Carlo, counted chunk by chunk in bounded memory, and reports per-cell
 empirical probabilities, targets, error bounds, and three-sigma
-statistical margins.
+statistical margins.  It is the one implementation of the two parties'
+rules.  Its conditional table has a closed form, which the tests hold it
+against: P(a, b | fire) = sum over rank-one elements i -> a, j -> b of
+(w_i w_j / d) (g_ij + (s/d)(1 - d g_ij)), with s = sin^2 delta and
+g_ij = |sum_k x_ik y_jk|^2.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from .bounds import (
 from .errors import DomainError, InvariantViolation, ZeroFiringError
 from .quantum import (
     CHUNK,
-    NO_CLICK,
     Povm,
     RankOnePovmElement,
     chunk_sizes,
@@ -114,38 +117,6 @@ def _rank_one_arrays(
             f"dimension {d} (within {WEIGHT_SUM_TOL})"
         )
     return weights, directions, labels
-
-
-def alice_respond(
-    phi: np.ndarray,
-    elements: Sequence[RankOnePovmElement],
-    delta: float,
-    rng: np.random.Generator,
-) -> Any:
-    """Alice's single-draw response: outcome label, or ∅ if the hidden
-    state is farther than delta from the drawn direction."""
-    weights, directions, labels = _rank_one_arrays(elements)
-    d = directions.shape[1]
-    probs = weights / d
-    idx = int(rng.choice(len(labels), p=probs / probs.sum()))
-    overlap = abs(np.vdot(phi, directions[idx])) ** 2
-    if overlap >= math.cos(delta) ** 2:
-        return labels[idx]
-    return NO_CLICK
-
-
-def bob_respond(
-    phi: np.ndarray,
-    elements: Sequence[RankOnePovmElement],
-    rng: np.random.Generator,
-) -> Any:
-    """Bob's single-draw response: outcome b with probability
-    |y_b| |<phi*|y_b>|^2 (never silent)."""
-    weights, directions, labels = _rank_one_arrays(elements)
-    # <phi*|y> = sum_i phi_i y_i: a plain (conjugation-free) dot product
-    probs = weights * np.abs(directions @ np.asarray(phi)) ** 2
-    probs = probs / probs.sum()
-    return labels[int(rng.choice(len(labels), p=probs))]
 
 
 @dataclass(frozen=True)

@@ -601,7 +601,6 @@ class MultipartyModel:
             for p in joint_parties
         )
         joint = self._subset_table(joint_parties, joint_settings)
-        special_axis = joint_parties.index(special)
         for guessed in np.ndindex(guess_marg.shape):
             p_guess = float(guess_marg[guessed])
             if p_guess <= 0.0:
@@ -703,9 +702,3 @@ class MultipartyModel:
             counts[o] = counts.get(o, 0) + 1
         return counts
 
-
-def build_multiparty_model(
-    scenario: Scenario, max_table_entries: int = 2_000_000
-) -> OutcomeDistribution:
-    """Exact outcome table of the protocol mixture for a scenario."""
-    return MultipartyModel(scenario, max_table_entries).exact_distribution()

@@ -173,10 +173,6 @@ class QuantumState:
     def n_parties(self) -> int:
         return len(self.dims)
 
-    @property
-    def total_dim(self) -> int:
-        return int(np.prod(self.dims))
-
     def density(self) -> np.ndarray:
         """The state as a density matrix (outer product for pure states)."""
         if self.kind == "pure":

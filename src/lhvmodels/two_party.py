@@ -320,15 +320,6 @@ class TwoPartyModel:
             out[i, 1 - guesser] = np.minimum(resp, cond.shape[-1] - 1)
         return out
 
-    def sample(
-        self, settings: tuple[int, int], rng: np.random.Generator
-    ) -> tuple[Any, Any]:
-        """One draw from the model, as a pair of outcome labels (or ∅)."""
-        codes = self.sample_many(settings, 1, rng)[0]
-        a = NO_CLICK if codes[0] < 0 else self._alphabet_a[codes[0]]
-        b = NO_CLICK if codes[1] < 0 else self._alphabet_b[codes[1]]
-        return (a, b)
-
     def tabulate(self, samples: np.ndarray) -> dict[tuple[Any, Any], int]:
         """Count an ``(n, 2)`` sample array into an outcome-pair table.
 
@@ -355,7 +346,3 @@ class TwoPartyModel:
             for code in np.flatnonzero(counts)
         }
 
-
-def build_exact_distribution(scenario: Scenario) -> OutcomeDistribution:
-    """Exact outcome table of the two-party model for a scenario."""
-    return TwoPartyModel(scenario).exact_distribution()

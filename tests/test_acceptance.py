@@ -23,14 +23,14 @@ from lhvmodels.bounds import (
 )
 from lhvmodels.dimension import run_dimension_model
 from lhvmodels.multiparty import (
-    build_multiparty_model,
+    MultipartyModel,
     mixture_from_recursion,
     recursion_r,
     solve_weights,
 )
 from lhvmodels.presets import computational_povm
 from lhvmodels.quantum import extend_with_inefficiency, quantum_distribution
-from lhvmodels.two_party import TwoPartyModel, build_exact_distribution
+from lhvmodels.two_party import TwoPartyModel
 from lhvmodels.verify import compare_float, statistical_match
 
 TOL = 1e-10
@@ -69,7 +69,7 @@ def test_criterion_2_two_party_model_reproduction(acceptance_log, chsh, random23
                 quantum_distribution(scenario), eta
             )
             report = compare_float(
-                build_exact_distribution(scenario), target, tol=TOL
+                TwoPartyModel(scenario).exact_distribution(), target, tol=TOL
             )
             assert report.passed, report.worst_cell
 
@@ -127,7 +127,7 @@ def test_criterion_6_constant_click_ratios(acceptance_log):
 
 def test_criterion_7_multiparty_model_reproduction(acceptance_log, ghz3):
     with criterion(acceptance_log, 7, "3-party GHZ model = eta-extended quantum"):
-        model_dist = build_multiparty_model(ghz3)
+        model_dist = MultipartyModel(ghz3).exact_distribution()
         quantum = quantum_distribution(ghz3)
         target = extend_with_inefficiency(quantum, 3 / 5)
         report = compare_float(model_dist, target, tol=TOL)

@@ -181,6 +181,10 @@ def test_multiparty_scan_bad_arguments_write_nothing(tmp_path, capsys, bad, fmt)
         (["two-party", "verify", "--samples", "50"], "--samples"),
         (["dim-model", "verify", "--d", "2", "--delta", "0.5", "--samples", "50"],
          "--samples"),
+        # numpy refuses negative seeds; refused here before any draw
+        (["dim-model", "verify", "--d", "2", "--delta", "0.5", "--seed", "-1"],
+         "--seed"),
+        (["two-party", "verify", "--samples", "1000", "--seed", "-3"], "--seed"),
     ],
 )
 def test_verify_bad_arguments_write_nothing(tmp_path, capsys, argv, message):
@@ -401,6 +405,15 @@ def test_installed_entry_point_runs():
     assert "2,2,2/3" in proc.stdout
 
 
+def test_package_exports_resolve_once():
+    import lhvmodels
+
+    names = lhvmodels.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert hasattr(lhvmodels, name), name
+
+
 def _float_leaves(node):
     if isinstance(node, dict):
         node = list(node.values())
@@ -543,12 +556,6 @@ def test_report_cells_hold_the_exact_tables_by_key(
         assert err == rounded(abs(exact[key] - target[key])), key
 
 
-def _emitted(value, pad=""):
-    parts = []
-    cli._emit_json(parts.append, value, cli._Renderer("json"), pad)
-    return "".join(parts)
-
-
 def test_json_emitter_matches_json_dumps():
     tree = {
         "empty_dict": {},
@@ -562,25 +569,36 @@ def test_json_emitter_matches_json_dumps():
         "flags": [True, False, None],
         "∅": "unicode key",
     }
+
+    def emitted(value, **kwargs):
+        return json.dumps(cli._plain(value), ensure_ascii=False, **kwargs)
+
     expected = json.dumps(tree, indent=2, ensure_ascii=False)
-    assert _emitted(tree) == expected
-    assert _emitted(tree, None) == json.dumps(tree, ensure_ascii=False)
-    assert _emitted({"nan": math.nan}) == json.dumps({"nan": math.nan}, indent=2)
-    numpy_scalars = [np.float64(0.1), np.float64(-0.0), np.int64(3), np.bool_(True)]
-    assert _emitted(numpy_scalars) == json.dumps([0.1, -0.0, 3, True], indent=2)
+    assert emitted(tree, indent=2) == expected
+    assert emitted(tree) == json.dumps(tree, ensure_ascii=False)
+    assert emitted({"nan": math.nan}, indent=2) == json.dumps(
+        {"nan": math.nan}, indent=2
+    )
+    numpy_scalars = (np.float64(0.1), np.float64(-0.0), np.int64(3), np.bool_(True))
+    assert emitted(numpy_scalars, indent=2) == json.dumps(
+        [0.1, -0.0, 3, True], indent=2
+    )
     # 15 significant digits, then the JSON repr of the rounded float
-    assert _emitted([0.1 + 0.2, Fraction(2, 3)]) == json.dumps(
-        [0.3, "2/3"], indent=2
+    assert emitted([0.1 + 0.2, Fraction(2, 3), {1: 2}], indent=2) == json.dumps(
+        [0.3, "2/3", {"1": 2}], indent=2
     )
     csv_cell = cli._Renderer("csv")
-    assert [csv_cell(v) for v in (100.0, -0.0, 0.1 + 0.2, Fraction(2, 3), True)] == [
-        "100", "-0", "0.3", "2/3", "true"
+    assert [csv_cell(v) for v in (100.0, -0.0, 0.1 + 0.2, Fraction(2, 3), True,
+                                  np.int64(3), "∅")] == [
+        "100", "-0", "0.3", "2/3", "true", "3", "∅"
     ]
 
 
-def test_per_setting_template_matches_the_standard_encoders():
+def test_per_setting_template_matches_the_standard_encoders(
+    tmp_path, monkeypatch
+):
     # signed zeros, repeated values and keys that need escaping or quoting,
-    # written by the template and by the stdlib encoders
+    # written through the report writer and by the stdlib encoders
     model = np.array([[0.25, -0.0, 0.75, 0.0], [0.5, 0.1 + 0.2, 0.0, -0.0]])
     target = np.array([[0.25, 0.0, 0.7, 0.05], [0.5, 0.3, 0.2, 0.0]])
     order = np.array([2, 0, 3, 1])
@@ -601,16 +619,27 @@ def test_per_setting_template_matches_the_standard_encoders():
                 for key, mi, ti in zip(outcomes, m.tolist(), t.tolist())
             },
         }
-    tree = {"per_setting": table, "pass": True}
-    assert _emitted(tree) == json.dumps(
-        {"per_setting": expected, "pass": True}, indent=2, ensure_ascii=False
-    )
-    assert "-0.0" in _emitted(tree)
+    monkeypatch.setattr(cli, "_timestamp", lambda: "T")
+    reports = {}
+    for fmt in ("json", "csv"):
+        out = str(tmp_path / f"report.{fmt}")
+        cli._write_report(
+            cli.RunConfig("test", {}, None, out, fmt),
+            {"per_setting": table, "pass": True}, cli._VERIFY_COLUMNS, table,
+        )
+        reports[fmt] = (tmp_path / f"report.{fmt}").read_text(encoding="utf-8")
+    config = {"command": "test", "format": "json", "out": str(tmp_path / "report.json")}
+    assert reports["json"] == json.dumps(
+        {"config": config, "timestamp": "T", "per_setting": expected, "pass": True},
+        indent=2, ensure_ascii=False,
+    ) + "\n"
+    assert "-0.0" in reports["json"]
 
-    parts = []
     render = cli._Renderer("csv")
-    table.write_csv(parts.append, render)
-    assert list(csv.reader(io.StringIO("".join(parts)))) == [
+    lines = [ln for ln in reports["csv"].splitlines(True) if not ln.startswith("#")]
+    assert list(csv.reader(io.StringIO("".join(lines)))) == [
+        list(cli._VERIFY_COLUMNS)
+    ] + [
         [skey, key, *(render(cell[k]) for k in ("model", "target", "abs_error"))]
         for skey, block in expected.items()
         for key, cell in block["table"].items()

@@ -1,5 +1,5 @@
-"""Dimension-dependent approximate model: parameters, single-draw
-responses, and the vectorized Monte Carlo report."""
+"""Dimension-dependent approximate model: parameters, the vectorized Monte
+Carlo report against the model's closed-form table, and the chunked run."""
 
 import math
 import tracemalloc
@@ -7,15 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lhvmodels.dimension import (
-    DimensionModelParams,
-    alice_respond,
-    bob_respond,
-    run_dimension_model,
-)
+from lhvmodels.dimension import DimensionModelParams, run_dimension_model
 from lhvmodels.errors import DomainError, ZeroFiringError
 from lhvmodels.presets import computational_povm, random_povm
-from lhvmodels.quantum import CHUNK, NO_CLICK, refine_to_rank_one
+from lhvmodels.quantum import CHUNK, refine_to_rank_one
 
 
 def test_params_derived_quantities():
@@ -53,37 +48,50 @@ def test_params_eta_solves_matching_conditions():
     assert DimensionModelParams(3, math.pi / 2).eta == 1.0
 
 
-def test_alice_always_fires_at_right_angle(rng):
-    elements = refine_to_rank_one(computational_povm(2))
-    phi = np.array([0.6, 0.8], dtype=complex)
-    outcomes = {
-        alice_respond(phi, elements, math.pi / 2, rng) for _ in range(100)
-    }
-    assert NO_CLICK not in outcomes
+def _closed_form_table(d, delta, x_povm, y_povm):
+    """The model's exact conditional table P(a, b | Alice fires), by parent
+    outcome labels: the sum over rank-one elements i -> a, j -> b of
+    (w_i w_j / d) (g_ij + (s/d)(1 - d g_ij)), with s = sin^2 delta and
+    g_ij = |sum_k x_ik y_jk|^2 (no conjugation, as in the run's targets)."""
+    xs, ys = refine_to_rank_one(x_povm), refine_to_rank_one(y_povm)
+    s = math.sin(delta) ** 2
+    table = {}
+    for x in xs:
+        for y in ys:
+            g = abs(np.sum(x.direction * y.direction)) ** 2
+            key = (x.parent_label, y.parent_label)
+            table[key] = table.get(key, 0.0) + (
+                x.weight * y.weight / d * (g + s / d * (1 - d * g))
+            )
+    return table
 
 
-def test_alice_threshold_gates_mismatched_directions(rng):
-    elements = refine_to_rank_one(computational_povm(2))
-    phi = np.array([1.0, 0.0], dtype=complex)
-    outcomes = [alice_respond(phi, elements, 0.01, rng) for _ in range(200)]
-    assert set(outcomes) == {0, NO_CLICK}  # outcome 1 needs overlap ~ 1
-
-
-def test_bob_answers_from_conjugated_overlap(rng):
-    elements = refine_to_rank_one(computational_povm(3))
-    phi = np.array([0.0, 1.0, 0.0], dtype=complex)
-    draws = {bob_respond(phi, elements, rng) for _ in range(50)}
-    assert draws == {1}
-
-
-def test_bob_distribution_follows_weights(rng):
-    elements = refine_to_rank_one(computational_povm(2))
-    phi = np.array([0.8, 0.6], dtype=complex)  # real: conjugation-free
-    n = 4000
-    draws = [bob_respond(phi, elements, rng) for _ in range(n)]
-    p_hat = draws.count(0) / n
-    sigma = math.sqrt(0.64 * 0.36 / n)
-    assert abs(p_hat - 0.64) < 4 * sigma
+@pytest.mark.parametrize("d, delta, povms, samples, seed", [
+    (2, 1.2, "computational", 300_000, 1),
+    (3, 0.9, "random", 400_000, 2),
+    (4, 0.5236, "computational", 1_000_000, 3),  # the benchmark's case
+    # Alice always fires: the table is the product of the marginals
+    (3, math.pi / 2, "random", 100_000, 4),
+], ids=["d2", "d3-random", "d4", "d3-random-right-angle"])
+def test_monte_carlo_matches_closed_form_table(d, delta, povms, samples, seed):
+    if povms == "random":
+        povm_rng = np.random.default_rng(seed)
+        x_povm, y_povm = random_povm(d, 3, povm_rng), random_povm(d, 3, povm_rng)
+    else:
+        x_povm = y_povm = computational_povm(d)
+    report = run_dimension_model(
+        d, delta, x_povm, y_povm, samples, np.random.default_rng(seed)
+    )
+    if delta == math.pi / 2:
+        assert report.n_fired == samples
+    exact = _closed_form_table(d, delta, x_povm, y_povm)
+    assert sum(exact.values()) == pytest.approx(1.0, abs=1e-12)
+    assert len(report.cells) == len(exact)
+    n = report.n_fired
+    for c in report.cells:
+        p = exact[(c.outcome_a, c.outcome_b)]
+        z = (c.empirical - p) / math.sqrt(p * (1 - p) / n)
+        assert abs(z) <= 4.5, (c.outcome_a, c.outcome_b, c.empirical, p, z)
 
 
 def test_monte_carlo_report_passes_for_qubits(rng):

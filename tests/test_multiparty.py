@@ -12,7 +12,6 @@ from lhvmodels.bounds import eta_multiparty
 from lhvmodels.errors import DomainError, SizeGuardExceeded
 from lhvmodels.multiparty import (
     MultipartyModel,
-    build_multiparty_model,
     mixture_from_recursion,
     positivity_scan,
     protocol_click_probabilities,
@@ -393,7 +392,7 @@ def test_ghz_model_matches_extended_quantum(ghz3):
 
 
 def test_ghz_model_conditional_recovers_quantum(ghz3):
-    dist = build_multiparty_model(ghz3)
+    dist = MultipartyModel(ghz3).exact_distribution()
     quantum = quantum_distribution(ghz3)
     for choice in quantum.settings_choices():
         conditional = dist.condition_on_all_clicks(choice)
@@ -403,7 +402,7 @@ def test_ghz_model_conditional_recovers_quantum(ghz3):
 
 
 def test_ghz_model_all_silent_probability(ghz3):
-    dist = build_multiparty_model(ghz3)
+    dist = MultipartyModel(ghz3).exact_distribution()
     corner = dist.block((0, 0, 0))[(NO_CLICK,) * 3]
     assert corner == pytest.approx(0.4**3, abs=1e-14)
 
