@@ -5,7 +5,8 @@ Subcommands
 -----------
 ``lhv bounds``
     Threshold-efficiency tables over ranges of (M_A, M_B), (N, M) or
-    (d, epsilon).
+    (d, epsilon), of at most ``BOUNDS_MAX_ROWS`` rows, counted before any
+    row is built.
 ``lhv two-party verify``
     Build the two-party model for a scenario file and compare it against
     the eta-extended quantum distribution; optionally also check the
@@ -16,8 +17,11 @@ Subcommands
     Exact mixture weights for one (N, M); the streaming positivity scan;
     the exact N-party model against the eta-extended quantum distribution.
 ``lhv dim-model verify``
-    Monte Carlo run of the dimension-dependent model, also counted in
-    chunks.
+    Monte Carlo run of the dimension-dependent model, counted in chunks of
+    at most ``dimension.CHUNK_BYTES`` of normals and products, so memory
+    grows neither with ``--samples`` nor with ``--d``; the default
+    computational-basis POVM (16 d^3 bytes of projectors) is refused past
+    ``DIM_POVM_MAX_BYTES``.
 
 Conventions
 -----------
@@ -36,7 +40,8 @@ flushed immediately: CSV rows, or newline-delimited JSON after a config
 line.  Exit status: 0 on pass or completion, 1 on verification failure, 2
 on usage errors (including malformed scenario files, a ``--tol`` or
 ``--d`` out of range, a ``--samples`` below ``verify.MIN_SAMPLES``, a
-negative ``--seed``, and a report file that cannot be opened).
+negative ``--seed``, a size guard, and a report file that cannot be
+opened).
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ import io
 import itertools
 import json
 import math
-import secrets
+import os
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -345,15 +350,18 @@ def _write_report(
 # ---------------------------------------------------------------------------
 
 
-def _parse_int_range(text: str) -> list[int]:
-    """"5" -> [5]; "2:6" -> [2, 3, 4, 5, 6]."""
+def _parse_int_range(text: str) -> range:
+    """"5" -> range(5, 6); "2:6" -> range(2, 7), holding 2, 3, 4, 5, 6.
+
+    A range, not a list: ``bounds`` counts its rows before building any.
+    """
     if ":" in text:
         lo, hi = text.split(":", 1)
         lo, hi = int(lo), int(hi)
         if hi < lo:
             raise argparse.ArgumentTypeError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+        return range(lo, hi + 1)
+    return range(int(text), int(text) + 1)
 
 
 def _parse_float_list(text: str) -> list[float]:
@@ -483,48 +491,47 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
+#: Most rows one ``lhv bounds`` table may hold, counted before any is built.
+BOUNDS_MAX_ROWS = 100_000
+#: Most bytes of projectors the default POVM of ``dim-model verify`` may
+#: store: d dense d x d complex matrices, 16 d^3 bytes, so d <= 161.
+DIM_POVM_MAX_BYTES = 1 << 26
+
+
 def _cmd_bounds(args) -> int:
-    rows: list[tuple] = []
     if args.two_party:
-        if not args.ma or not args.mb:
-            raise DomainError("bounds --two-party needs --ma and --mb")
-        columns = ("ma", "mb", "eta")
-        for ma in args.ma:
-            for mb in args.mb:
-                rows.append((ma, mb, _bounds.eta_two_party(ma, mb)))
-        params = {"family": "two-party", "ma": args.ma, "mb": args.mb}
+        family, names, eta = "two-party", ("ma", "mb"), _bounds.eta_two_party
     elif args.multiparty:
-        if not args.n or not args.m:
-            raise DomainError("bounds --multiparty needs --n and --m")
-        columns = ("n", "m", "eta")
-        for n in args.n:
-            for m in args.m:
-                rows.append((n, m, _bounds.eta_multiparty(n, m)))
-        params = {"family": "multiparty", "n": args.n, "m": args.m}
+        family, names, eta = "multiparty", ("n", "m"), _bounds.eta_multiparty
     elif args.all_click:
-        if not args.n or not args.m:
-            raise DomainError("bounds --all-click needs --n and --m")
-        columns = ("n", "m", "eta")
-        for n in args.n:
-            for m in args.m:
-                rows.append((n, m, _bounds.eta_all_click(n, m)))
-        params = {"family": "all-click", "n": args.n, "m": args.m}
+        family, names, eta = "all-click", ("n", "m"), _bounds.eta_all_click
     else:
-        if not args.d or not args.epsilon:
-            raise DomainError("bounds --dimension needs --d and --epsilon")
+        family, names = "dimension", ("d", "epsilon")
+    first, second = (getattr(args, name) for name in names)
+    if not first or not second:
+        raise DomainError(
+            f"bounds --{family} needs --{names[0]} and --{names[1]}"
+        )
+    # stop - start, as a range may be longer than len() can return
+    n_rows = math.prod(
+        a.stop - a.start if isinstance(a, range) else len(a)
+        for a in (first, second)
+    )
+    if n_rows > BOUNDS_MAX_ROWS:
+        raise SizeGuardExceeded(
+            f"bounds table would hold {n_rows} rows (limit "
+            f"{BOUNDS_MAX_ROWS}); narrow --{names[0]} or --{names[1]}"
+        )
+    params = {"family": family, names[0]: list(first), names[1]: list(second)}
+    pairs = itertools.product(first, second)
+    if args.dimension:
         columns = ("d", "epsilon", "mode", "eta")
-        for d in args.d:
-            for eps in args.epsilon:
-                rows.append(
-                    (d, eps, args.bound_mode,
-                     _bounds.eta_dimension(d, eps, args.bound_mode))
-                )
-        params = {
-            "family": "dimension",
-            "d": args.d,
-            "epsilon": args.epsilon,
-            "bound_mode": args.bound_mode,
-        }
+        mode = params["bound_mode"] = args.bound_mode
+        rows = [(d, eps, mode, _bounds.eta_dimension(d, eps, mode))
+                for d, eps in pairs]
+    else:
+        columns = (*names, "eta")
+        rows = [(a, b, eta(a, b)) for a, b in pairs]
     config = RunConfig("bounds", params, None, args.out, args.fmt)
     _write_report(config, {"columns": columns, "rows": rows}, columns, rows)
     return 0
@@ -546,6 +553,12 @@ def _check_samples(samples: int | None) -> None:
 def _check_seed(seed: int | None) -> None:
     if seed is not None and seed < 0:
         raise DomainError(f"--seed must be >= 0, got {seed}")
+
+
+def _fresh_seed() -> int:
+    """63 bits from ``os.urandom``: ``secrets`` would import hashlib and
+    OpenSSL, a few milliseconds of every start-up."""
+    return int.from_bytes(os.urandom(8), "big") >> 1
 
 
 #: CSV columns of the verify reports: one row per cell of the comparison
@@ -584,7 +597,7 @@ def _cmd_two_party_verify(args) -> int:
     scenario = load_scenario(args.scenario)
     seed = args.seed
     if args.samples and seed is None:
-        seed = secrets.randbits(63)
+        seed = _fresh_seed()
     params = {
         "scenario": args.scenario,
         "tol": args.tol,
@@ -690,7 +703,7 @@ def _cmd_dim_model_verify(args) -> int:
         raise DomainError(f"need dimension >= 2, got {args.d}")
     _check_samples(args.samples)
     _check_seed(args.seed)
-    seed = args.seed if args.seed is not None else secrets.randbits(63)
+    seed = args.seed if args.seed is not None else _fresh_seed()
     if args.delta is not None:
         delta = args.delta
     else:
@@ -711,6 +724,12 @@ def _cmd_dim_model_verify(args) -> int:
     else:
         from .presets import computational_povm
 
+        povm_bytes = 16 * args.d**3
+        if povm_bytes > DIM_POVM_MAX_BYTES:
+            raise SizeGuardExceeded(
+                f"--d {args.d}: the computational-basis POVM would store "
+                f"{povm_bytes} bytes of projectors (limit {DIM_POVM_MAX_BYTES})"
+            )
         x_povm = y_povm = computational_povm(args.d)
     params = {
         "d": args.d,

@@ -44,7 +44,6 @@ from .bounds import (
 )
 from .errors import DomainError, InvariantViolation, ZeroFiringError
 from .quantum import (
-    CHUNK,
     Povm,
     RankOnePovmElement,
     chunk_sizes,
@@ -57,6 +56,10 @@ from .quantum import (
 WEIGHT_SUM_TOL = 1e-8
 #: Width of the statistical margin added to the analytic error bound.
 SIGMA_FACTOR = 3.0
+#: Bytes of normals and complex product one chunk of the Monte Carlo run
+#: may hold: a working set near a core's 2 MiB L2 cache, whatever d and
+#: the POVMs are.
+CHUNK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -242,10 +245,14 @@ def run_dimension_model(
     accumulated per refined element and coarse-grained back to the parent
     outcome labels.  Draw order: all hidden states, then Alice's outcome
     uniforms, then Bob's outcome uniforms — so a fixed seed reproduces the
-    run.  The draws are made and counted in chunks of at most
-    :data:`~lhvmodels.quantum.CHUNK`, so memory does not grow with
-    ``samples``; the chunks consume exactly the stream one batch of
-    ``samples`` would, and leave ``rng`` where that batch would.
+    run.  The draws are made and counted in chunks sized by bytes, not by
+    draws: a draw holds 16 d bytes of normals and 16 (n_rx + n_ry) bytes
+    of the complex product (one row per rank-one element of either POVM),
+    and a chunk holds as many draws as fit in :data:`CHUNK_BYTES` (at
+    least one).  So memory grows neither with ``samples`` nor with d or
+    the POVMs' width.  The chunks consume exactly the stream one batch of
+    ``samples`` would, and leave ``rng`` where that batch would, so the
+    chunk size never changes a seeded count.
 
     Each chunk makes one complex product of the stacked directions (Alice's
     conjugated, Bob's plain) with the hidden states, and squares its moduli
@@ -275,25 +282,26 @@ def run_dimension_model(
     parents_x, coarse_x = _coarse_map(labels_x)
     parents_y, coarse_y = _coarse_map(labels_y)
     n_x, n_y = len(parents_x), len(parents_y)
+    n_rx = len(wx)
+    chunk = max(1, CHUNK_BYTES // (16 * (d + n_rx + len(wy))))
 
     # One batch would draw every hidden state's normals, then all of
     # Alice's uniforms, then all of Bob's.  The chunks consume that same
     # stream: a first pass skips the first two segments on ``rng`` (into one
     # reused buffer), keeping a copy of the generator at the start of each,
     # so ``rng`` is left where one batch would leave it.
-    skip = np.empty(2 * d * min(samples, CHUNK))
+    skip = np.empty(2 * d * min(samples, chunk))
     normal_rng = copy.deepcopy(rng)
-    for c in chunk_sizes(samples):
+    for c in chunk_sizes(samples, chunk):
         rng.standard_normal(out=skip[: 2 * d * c])
     alice_rng = copy.deepcopy(rng)
-    for c in chunk_sizes(samples):
+    for c in chunk_sizes(samples, chunk):
         rng.random(out=skip[:c])
     del skip  # the chunk loop below never reads it
 
     cum_x = np.cumsum(wx / d)
     cum_x[-1] = 1.0
     cos2_delta = math.cos(delta) ** 2
-    n_rx = len(wx)
     # One product gives Alice's <x_a|phi> (conjugated rows) and Bob's
     # <phi*|y_b> = sum_i phi_i y_i, phi* relative to the basis in which the
     # shared state is (1/sqrt d) sum |ii>.  One row per rank-one element,
@@ -302,7 +310,7 @@ def run_dimension_model(
     n_fired = 0
     joint_counts = np.zeros(n_x * n_y, dtype=np.int64)
     bob_counts = np.zeros(n_y, dtype=np.int64)
-    for c in chunk_sizes(samples):
+    for c in chunk_sizes(samples, chunk):
         amp = dirs @ haar_random_state(d, normal_rng, size=c).T
         # squared moduli re^2 + im^2, in the product's own memory; summed
         # row by row, since a whole-block sum of the interleaved halves

@@ -173,9 +173,10 @@ def recursion_r(n: int) -> list[Fraction]:
     and integrating by parts gives S_0 = 1/N and
     S_k = ((-1)^k + k N S_(k-1)) / (N-k).  The loop runs this fraction-free
     on plain integers: with D_k = N (N-1) ... (N-k), P_0 = 1 and
-    P_k = (-1)^k D_(k-1) + k N P_(k-1), S_k = P_k / D_k and
+    P_k = (-1)^k D_(k-1) + k N P_(k-1), S_k = P_k / D_k and, since
+    C(N,k) / D_(k-1) = 1/k!,
 
-        r_k = C(N,k) P_k / (N^k D_(k-1))   for 1 <= k < N,
+        r_k = C(N,k) P_k / (N^k D_(k-1)) = P_k / (k! N^k)   for 1 <= k < N,
         r_N = ((N-1)/N)^N,
 
     so each r_k costs O(1) integer operations, and building the returned
@@ -200,15 +201,13 @@ def recursion_r(n: int) -> list[Fraction]:
     if n < 2:
         raise DomainError(f"need N >= 2, got {n}")
     r = [Fraction(1)]
-    binom = 1  # C(N, k)
     p = 1  # P_k
     d = n  # D_(k-1)
-    n_pow = 1  # N^k
+    den = 1  # k! N^k
     for k in range(1, n):
-        binom = binom * (n - k + 1) // k
         p = (-d if k % 2 else d) + k * n * p
-        n_pow *= n
-        r.append(Fraction(binom * p, n_pow * d))
+        den *= k * n
+        r.append(Fraction(p, den))
         d *= n - k
     r.append(Fraction(n - 1, n) ** n)
     return r
@@ -396,9 +395,10 @@ def positivity_scan(
 
     ``mode="all_M_via_r"`` checks r_k >= 0 for all k via the recursion;
     since every weight is a positive multiple of its r_k, this certifies
-    positive mixtures for *every* M >= 2 at once.  ``mode="fixed_M"``
-    instead solves the triangular system at the given M and checks the
-    weights themselves.
+    positive mixtures for *every* M >= 2 at once.  Its row's minimum is
+    always r_1 = 0 at k = 1 (see :func:`recursion_r`: every other r_k is
+    positive).  ``mode="fixed_M"`` instead solves the triangular system at
+    the given M and checks the weights themselves.
 
     Rows are yielded as soon as computed, so long scans can be consumed
     (and persisted) incrementally; each N is independent, making a

@@ -57,8 +57,8 @@ POVM_TOL = 1e-10
 RANK_ONE_CUTOFF = 1e-12
 #: Per-settings-block normalization tolerance of float distributions.
 BLOCK_SUM_TOL = 1e-12
-#: Monte Carlo samplers draw and count at most this many draws at a time,
-#: so their memory does not grow with the number of samples.
+#: The two-party sampler draws and counts at most this many draws at a
+#: time, so its memory does not grow with the number of samples.
 CHUNK = 1 << 16
 
 
@@ -239,9 +239,9 @@ def haar_random_state(
     return z[0] if size is None else z
 
 
-def chunk_sizes(n: int) -> Iterator[int]:
-    """Split ``n`` draws into consecutive chunks of at most :data:`CHUNK`."""
-    return (min(CHUNK, n - start) for start in range(0, n, CHUNK))
+def chunk_sizes(n: int, size: int = CHUNK) -> Iterator[int]:
+    """Split ``n`` draws into consecutive chunks of at most ``size``."""
+    return (min(size, n - start) for start in range(0, n, size))
 
 
 def inverse_cdf(u: np.ndarray, cum: np.ndarray) -> np.ndarray:

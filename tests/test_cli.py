@@ -208,6 +208,50 @@ def test_dim_model_rejects_small_dimension(capsys, d):
     assert "lhv: need dimension >= 2" in captured.err
 
 
+# just over the limit through one range, through the product of two, and
+# through a range too long for len(); no range is built
+_SIDE = math.isqrt(cli.BOUNDS_MAX_ROWS) + 1
+
+
+@pytest.mark.parametrize("family, first, second", [
+    ("--two-party", ("--ma", f"2:{2 + cli.BOUNDS_MAX_ROWS}"), ("--mb", "2")),
+    ("--multiparty", ("--n", f"2:{1 + _SIDE}"), ("--m", f"2:{1 + _SIDE}")),
+    ("--all-click", ("--n", "2"), ("--m", f"2:{10**30}")),
+    ("--dimension", ("--d", f"2:{2 + cli.BOUNDS_MAX_ROWS // 2}"),
+     ("--epsilon", "0.1,0.2")),
+])
+def test_bounds_size_guard(tmp_path, capsys, family, first, second):
+    assert _SIDE**2 > cli.BOUNDS_MAX_ROWS >= (_SIDE - 1) ** 2
+    out = tmp_path / "r.json"
+    argv = ["bounds", family, *first, *second, "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "lhv: bounds table would hold" in captured.err
+    assert f"(limit {cli.BOUNDS_MAX_ROWS})" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("d", [162, 256])
+def test_dim_model_size_guard(tmp_path, capsys, monkeypatch, d):
+    # d = 64 (4 MiB of projectors) runs; d = 162 is the first d over the
+    # limit.  The guard refuses before any projector is built.
+    assert 16 * 64**3 <= 16 * 161**3 <= cli.DIM_POVM_MAX_BYTES < 16 * 162**3
+
+    def refuse(_):
+        raise AssertionError("projectors built past the size guard")
+
+    monkeypatch.setattr("lhvmodels.presets.computational_povm", refuse)
+    out = tmp_path / "r.json"
+    argv = ["dim-model", "verify", "--d", str(d), "--delta", "1.4",
+            "--seed", "1", "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"lhv: --d {d}: the computational-basis POVM" in captured.err
+    assert f"{16 * d**3} bytes" in captured.err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -241,3 +241,15 @@ def test_monte_carlo_memory_does_not_grow_with_samples():
 
     small, large = _traced_peak(run(4 * CHUNK)), _traced_peak(run(16 * CHUNK))
     assert large == pytest.approx(small, rel=0.1), (small, large)
+
+
+def test_monte_carlo_memory_does_not_grow_with_dimension():
+    # chunks are sized in bytes: fewer draws per chunk at larger d
+    def run(d):
+        povm = computational_povm(d)
+        return lambda: run_dimension_model(
+            d, 1.4, povm, povm, 1 << 17, np.random.default_rng(5)
+        )
+
+    small, large = _traced_peak(run(8)), _traced_peak(run(32))
+    assert large == pytest.approx(small, rel=0.25), (small, large)
