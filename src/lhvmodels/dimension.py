@@ -51,11 +51,10 @@ from .quantum import (
     inverse_cdf,
     refine_to_rank_one,
 )
+from .verify import SIGMA_FACTOR
 
 #: Allowed deviation of a rank-one decomposition's total weight from d.
 WEIGHT_SUM_TOL = 1e-8
-#: Width of the statistical margin added to the analytic error bound.
-SIGMA_FACTOR = 3.0
 #: Bytes of normals and complex product one chunk of the Monte Carlo run
 #: may hold: a working set near a core's 2 MiB L2 cache, whatever d and
 #: the POVMs are.

@@ -1,4 +1,4 @@
-"""The N-party protocol family: click-pattern probabilities, exact-rational
+"""The N-party protocol family: click-pattern probabilities, exact rational
 mixture weights, the positivity scan, and a full model for small N.
 
 A protocol indexed by i (i = 0 or 2 <= i <= N; there is no i = 1 member)
@@ -47,6 +47,7 @@ from .quantum import (
     OutcomeDistribution,
     Scenario,
     all_marginals,
+    check_table_size,
     split_settings,
 )
 
@@ -438,11 +439,12 @@ class MultipartyModel:
     instead sums click blocks, so comparing the two checks the linear
     system and the marginal structure at once by independent routes.
 
-    The size guard bounds the exact table, M^N prod_p (A_p + 1) entries,
-    which also bounds the contraction's prod_p (M A_p + 1) entries.
+    The size guard (:func:`~lhvmodels.quantum.check_table_size`) bounds
+    the exact table, M^N prod_p (A_p + 1) entries, which also bounds the
+    contraction's prod_p (M A_p + 1) entries.
     """
 
-    def __init__(self, scenario: Scenario, max_table_entries: int = 2_000_000):
+    def __init__(self, scenario: Scenario):
         counts = scenario.n_settings
         if len(set(counts)) != 1:
             raise DomainError(
@@ -454,14 +456,7 @@ class MultipartyModel:
         self.m = counts[0]
         if self.m < 2:
             raise DomainError("need at least 2 settings per party")
-        entries = (self.m**self.n) * int(
-            np.prod([len(scenario.alphabet(p)) + 1 for p in range(self.n)])
-        )
-        if entries > max_table_entries:
-            raise SizeGuardExceeded(
-                f"exact table would hold {entries} entries "
-                f"(limit {max_table_entries}); reduce N, M, or outcomes"
-            )
+        check_table_size(scenario)
         self.mixture = solve_weights(self.n, self.m)
         self.eta = self.mixture.eta
         self._pattern = [

@@ -15,11 +15,11 @@ Every quantum table of a scenario is a slice of one contraction
 (:func:`all_marginals`): joint tables in its all-click corner, marginals in
 its identity rows.
 
-Outcome tables (:class:`OutcomeDistribution`) are dense arrays, settings
-axes first and then one outcome axis per party (NO_CLICK last); labels
-appear only at I/O.  Exact-rational tables are object arrays of
-``Fraction`` on the same code path.  Sums over cells run in C order, and a
-comparison's worst cell is the first tied cell in C order.
+Outcome tables (:class:`OutcomeDistribution`) are dense float64 arrays,
+settings axes first and then one outcome axis per party.  Outcomes are the
+positions 0..A-1 of a party's POVM elements, with NO_CLICK last where an
+alphabet is extended; labels appear only at I/O.  Sums over cells run in C
+order, and a comparison's worst cell is the first tied cell in C order.
 
 Numerical policy: quantum quantities are computed in floating point and
 compared with tolerance ``1e-10``; exact rational arithmetic is reserved for
@@ -36,8 +36,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -46,6 +46,7 @@ from .errors import (
     DomainError,
     InvariantViolation,
     ScenarioFormatError,
+    SizeGuardExceeded,
     StructuralError,
 )
 
@@ -55,8 +56,10 @@ NORM_TOL = 1e-12
 POVM_TOL = 1e-10
 #: Eigenvalues below this are treated as null directions when refining.
 RANK_ONE_CUTOFF = 1e-12
-#: Per-settings-block normalization tolerance of float distributions.
+#: Per-settings-block normalization tolerance of outcome tables.
 BLOCK_SUM_TOL = 1e-12
+#: Largest eta-extended table, in entries, that a model may build.
+MAX_TABLE_ENTRIES = 2_000_000
 #: The two-party sampler draws and counts at most this many draws at a
 #: time, so its memory does not grow with the number of samples.
 CHUNK = 1 << 16
@@ -279,32 +282,18 @@ def conjugate_in_schmidt_basis(v: np.ndarray) -> np.ndarray:
 class Povm:
     """A measurement: one positive operator per outcome, summing to identity.
 
-    ``labels`` identifies the outcomes; it defaults to ``0..n-1``.  The
-    constructor only coerces shapes — use :func:`validate_povm` to check the
-    positivity and completeness invariants, which reports violations instead
-    of raising.
+    Outcome ``a`` is the position of its element.  The constructor only
+    coerces shapes — use :func:`validate_povm` to check the positivity and
+    completeness invariants, which reports violations instead of raising.
     """
 
     elements: tuple[np.ndarray, ...]
-    labels: tuple[Any, ...] | None = None
 
     def __post_init__(self) -> None:
         elements = tuple(np.asarray(e, dtype=complex) for e in self.elements)
         if not elements:
             raise StructuralError("a POVM needs at least one element")
-        labels = self.labels
-        if labels is None:
-            labels = tuple(range(len(elements)))
-        else:
-            labels = tuple(labels)
-            if len(labels) != len(elements):
-                raise StructuralError(
-                    f"{len(labels)} labels for {len(elements)} elements"
-                )
-            if len(set(labels)) != len(labels):
-                raise StructuralError("outcome labels must be distinct")
         object.__setattr__(self, "elements", tuple(_readonly(e) for e in elements))
-        object.__setattr__(self, "labels", labels)
 
     @property
     def n_outcomes(self) -> int:
@@ -317,13 +306,13 @@ class Povm:
         return self.elements[0].shape[0]
 
 
-def projective_povm(vectors: Sequence[Sequence[complex]], labels=None) -> Povm:
+def projective_povm(vectors: Sequence[Sequence[complex]]) -> Povm:
     """POVM of rank-one projectors onto the given orthonormal vectors."""
     els = []
     for v in vectors:
         v = np.asarray(v, dtype=complex)
         els.append(np.outer(v, v.conj()))
-    return Povm(tuple(els), labels)
+    return Povm(tuple(els))
 
 
 @dataclass(frozen=True)
@@ -383,13 +372,13 @@ class RankOnePovmElement:
     """A weighted direction ``weight * |v><v|`` refined from a POVM element.
 
     ``weight`` is the scalar trace of the refined element, ``direction`` the
-    unit vector, and ``parent_label`` the outcome of the original POVM this
-    element coarse-grains back to.
+    unit vector, and ``parent_label`` the outcome position of the original
+    POVM element this one coarse-grains back to.
     """
 
     weight: float
     direction: np.ndarray
-    parent_label: Any
+    parent_label: int
 
     def __post_init__(self) -> None:
         w = float(self.weight)
@@ -423,7 +412,7 @@ def refine_to_rank_one(p: Povm) -> list[RankOnePovmElement]:
             f"by {report.worst_deviation:.3e})"
         )
     refined: list[RankOnePovmElement] = []
-    for label, e in zip(p.labels, p.elements):
+    for label, e in enumerate(p.elements):
         w, vecs = np.linalg.eigh((e + e.conj().T) / 2.0)
         for j in range(len(w)):
             if w[j] > RANK_ONE_CUTOFF:
@@ -441,8 +430,8 @@ class Scenario:
     """An N-party Bell experiment: shared state plus per-party setting lists.
 
     ``settings[p]`` is the list of POVMs party ``p`` may choose between; all
-    settings of one party must act on that party's local dimension and use
-    the same outcome label set (so the party has a single outcome alphabet).
+    settings of one party must act on that party's local dimension and have
+    the same number of outcomes (so the party has a single outcome alphabet).
     Construction validates every POVM, so a ``Scenario`` instance is always
     fully valid.
     """
@@ -462,7 +451,7 @@ class Scenario:
         for party, povms in enumerate(settings):
             if not povms:
                 raise StructuralError(f"party {party} has no settings")
-            alphabet = povms[0].labels
+            n_outcomes = povms[0].n_outcomes
             for s, povm in enumerate(povms):
                 report = validate_povm(povm)
                 if not report.ok:
@@ -475,10 +464,10 @@ class Scenario:
                         f"party {party} setting {s} acts on dimension "
                         f"{povm.dim}, local dimension is {self.state.dims[party]}"
                     )
-                if povm.labels != alphabet:
+                if povm.n_outcomes != n_outcomes:
                     raise StructuralError(
-                        f"party {party}: settings 0 and {s} use different "
-                        "outcome labels"
+                        f"party {party}: settings 0 and {s} have "
+                        f"{n_outcomes} and {povm.n_outcomes} outcomes"
                     )
         object.__setattr__(self, "settings", settings)
 
@@ -491,13 +480,27 @@ class Scenario:
         """Number of settings per party (M_1, ..., M_N)."""
         return tuple(len(per_party) for per_party in self.settings)
 
-    def alphabet(self, party: int) -> tuple[Any, ...]:
-        """Outcome labels of one party (identical across its settings)."""
-        return self.settings[party][0].labels
+    def alphabet(self, party: int) -> tuple[int, ...]:
+        """Outcome positions of one party (the same for all its settings)."""
+        return tuple(range(self.settings[party][0].n_outcomes))
 
     def settings_choices(self) -> Iterable[tuple[int, ...]]:
         """All joint setting choices, in lexicographic order."""
         return itertools.product(*(range(m) for m in self.n_settings))
+
+
+def check_table_size(scenario: Scenario) -> None:
+    """Raise :class:`SizeGuardExceeded` if the scenario's eta-extended
+    table, prod_p M_p (A_p + 1) entries, exceeds :data:`MAX_TABLE_ENTRIES`."""
+    entries = math.prod(
+        m * (len(scenario.alphabet(p)) + 1)
+        for p, m in enumerate(scenario.n_settings)
+    )
+    if entries > MAX_TABLE_ENTRIES:
+        raise SizeGuardExceeded(
+            f"exact table would hold {entries} entries "
+            f"(limit {MAX_TABLE_ENTRIES}); reduce parties, settings, or outcomes"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +565,7 @@ def joint_outcome_table(
     """Joint click probabilities at one settings choice.
 
     Returns an array of shape ``(n_outcomes_1, ..., n_outcomes_N)`` indexed
-    by outcome positions (use :meth:`Scenario.alphabet` for the labels).
+    by outcome positions.
     """
     ops = []
     for p, x in enumerate(settings):
@@ -617,8 +620,7 @@ def sequential_sum(a: np.ndarray, axes: Iterable[int]) -> np.ndarray:
     """Sum ``a`` over ``axes`` one cell at a time, in C order over them.
 
     This is the order, and so the rounding, of a Python loop over the
-    cells; ``np.sum`` adds pairwise and can differ in the last bit.  Works
-    on float and on object (``Fraction``) arrays alike.
+    cells; ``np.sum`` adds pairwise and can differ in the last bit.
     """
     axes = list(axes)
     kept = a.ndim - len(axes)
@@ -636,13 +638,11 @@ class OutcomeDistribution:
     ``probs`` has shape ``(M_1, ..., M_N, A_1, ..., A_N)``, so ``probs[s]``
     is the block at settings choice ``s``; ``alphabets[p]`` labels party
     ``p``'s outcome axis, with :data:`NO_CLICK` last where present.  Labels
-    are used only at I/O (:meth:`block`, :attr:`table`,
-    :meth:`condition_on_all_clicks`).  An object array holds ``Fraction``
-    entries (``numeric_mode`` ``"exact-rational"``: blocks sum to exactly
-    1); any other array is stored read-only as float64 (``"float"``: blocks
-    sum to 1 within ``1e-12``).  A shape that does not match the alphabets
-    raises :class:`StructuralError`; an entry outside [0, 1] or a block
-    that does not sum to 1 raises :class:`InvariantViolation`.
+    are used only at I/O (:meth:`block`, :attr:`table`).  Every input is
+    stored read-only as float64, and each block must sum to 1 within
+    ``1e-12``.  A shape that does not match the alphabets raises
+    :class:`StructuralError`; an entry outside [0, 1] or a block that does
+    not sum to 1 raises :class:`InvariantViolation`.
     """
 
     alphabets: tuple[tuple[Any, ...], ...]
@@ -662,10 +662,7 @@ class OutcomeDistribution:
             raise StructuralError(f"empty probability array of shape {probs.shape}")
         if any(NO_CLICK in a[:-1] for a in alphabets):
             raise StructuralError("NO_CLICK must be the last label of an alphabet")
-        if probs.dtype == object:
-            probs, tol = np.frompyfunc(Fraction, 1, 1)(probs), 0
-        else:
-            probs, tol = np.array(probs, dtype=np.float64), BLOCK_SUM_TOL
+        probs, tol = np.array(probs, dtype=np.float64), BLOCK_SUM_TOL
         outside = ~((probs >= -tol) & (probs <= 1 + tol))  # NaN too
         if outside.any():
             raise InvariantViolation(
@@ -686,31 +683,23 @@ class OutcomeDistribution:
     def n_parties(self) -> int:
         return len(self.alphabets)
 
-    @property
-    def numeric_mode(self) -> str:
-        """``"exact-rational"`` for an object array, else ``"float"``."""
-        return "exact-rational" if self.probs.dtype == object else "float"
-
     def settings_choices(self) -> list[tuple[int, ...]]:
         """Every settings choice, in lexicographic (C) order."""
         shape = self.probs.shape[: self.n_parties]
         return list(itertools.product(*(range(m) for m in shape)))
 
-    def _settings_index(self, settings: Sequence[int]) -> tuple[int, ...]:
+    def block(self, settings: Sequence[int]) -> dict[tuple[Any, ...], float]:
+        """The outcome distribution at one settings choice, keyed by
+        outcome-label tuples in C order."""
         s = tuple(int(x) for x in settings)
         shape = self.probs.shape[: self.n_parties]
         if len(s) != len(shape) or not all(0 <= x < m for x, m in zip(s, shape)):
             raise DomainError(f"no entries for settings {tuple(settings)}")
-        return s
-
-    def block(self, settings: Sequence[int]) -> dict[tuple[Any, ...], Any]:
-        """The outcome distribution at one settings choice, keyed by
-        outcome-label tuples in C order."""
-        block = self.probs[self._settings_index(settings)].reshape(-1)
+        block = self.probs[s].reshape(-1)
         return dict(zip(itertools.product(*self.alphabets), block.tolist()))
 
     @property
-    def table(self) -> dict[tuple[tuple[int, ...], tuple[Any, ...]], Any]:
+    def table(self) -> dict[tuple[tuple[int, ...], tuple[Any, ...]], float]:
         """Every cell keyed by ``(settings, outcomes)`` label tuples, built
         on each access (for I/O and cell counts; computations use
         ``probs``)."""
@@ -725,35 +714,22 @@ class OutcomeDistribution:
     def includes_no_click(self) -> bool:
         return any(NO_CLICK in a for a in self.alphabets)
 
-    def _conditioned(self, settings: tuple[int, ...]) -> np.ndarray:
-        """The all-click cells of the blocks under settings prefix
-        ``settings``, divided by their totals."""
+    def all_click_conditional(self) -> np.ndarray:
+        """Every block conditioned on all detectors firing, shape
+        ``(M_1, ..., M_N, A'_1, ..., A'_N)`` with NO_CLICK dropped from
+        each alphabet (DomainError where a block never fires fully)."""
         n = self.n_parties
         keep = tuple(
             slice(len(a) - 1) if a[-1] is NO_CLICK else slice(None)
             for a in self.alphabets
         )
-        clicked = self.probs[settings][(Ellipsis,) + keep]
-        totals = sequential_sum(clicked, range(clicked.ndim - n, clicked.ndim))
+        clicked = self.probs[(Ellipsis,) + keep]
+        totals = sequential_sum(clicked, range(n, 2 * n))
         zero = totals == 0
         if np.any(zero):
-            s = settings + tuple(int(i) for i in np.argwhere(zero)[0])
+            s = tuple(int(i) for i in np.argwhere(zero)[0])
             raise DomainError(f"all-click probability is 0 at settings {s}")
-        return clicked / np.reshape(totals, np.shape(totals) + (1,) * n)
-
-    def all_click_conditional(self) -> np.ndarray:
-        """Every block conditioned on all detectors firing, shape
-        ``(M_1, ..., M_N, A'_1, ..., A'_N)`` with NO_CLICK dropped from
-        each alphabet (DomainError where a block never fires fully)."""
-        return self._conditioned(())
-
-    def condition_on_all_clicks(
-        self, settings: Sequence[int]
-    ) -> dict[tuple[Any, ...], Any]:
-        """The block at ``settings`` conditioned on every detector firing."""
-        cond = self._conditioned(self._settings_index(settings))
-        labels = (tuple(o for o in a if o is not NO_CLICK) for a in self.alphabets)
-        return dict(zip(itertools.product(*labels), cond.reshape(-1).tolist()))
+        return clicked / np.reshape(totals, totals.shape + (1,) * n)
 
 
 def split_settings(table: np.ndarray, n_settings: Sequence[int]) -> np.ndarray:
@@ -769,7 +745,7 @@ def split_settings(table: np.ndarray, n_settings: Sequence[int]) -> np.ndarray:
 
 def quantum_distribution(scenario: Scenario) -> OutcomeDistribution:
     """The full click-only outcome table of a scenario, for every settings
-    choice, as a float-mode :class:`OutcomeDistribution`: the all-click
+    choice, as an :class:`OutcomeDistribution`: the all-click
     corner of :func:`all_marginals`, with each party's axis split into
     (setting, outcome)."""
     n = scenario.n_parties
@@ -781,7 +757,7 @@ def quantum_distribution(scenario: Scenario) -> OutcomeDistribution:
 
 
 def extend_with_inefficiency(
-    dist: OutcomeDistribution, eta: Any
+    dist: OutcomeDistribution, eta: float
 ) -> OutcomeDistribution:
     """Add detector silence at efficiency ``eta`` to a click-only table.
 
@@ -790,29 +766,19 @@ def extend_with_inefficiency(
     marginal of ``o`` over K (obtained by summing the click-only block, which
     by POVM completeness equals the identity-substitution marginal).  Each
     silent set K writes one slice of the output: the NO_CLICK position on
-    K's outcome axes.  In rational mode the output block sums are exactly 1.
-
-    ``eta`` must be a float in float mode and an exact number (int, Fraction
-    or num/den string) in rational mode.
+    K's outcome axes.  ``eta`` is taken as a float.
     """
     if dist.includes_no_click():
         raise DomainError("distribution already includes the no-click outcome")
-    exact = dist.numeric_mode == "exact-rational"
-    if exact:
-        eta = Fraction(eta)
-    else:
-        eta = float(eta)
+    eta = float(eta)
     if not 0 <= eta <= 1:
         raise DomainError(f"efficiency {eta} outside [0,1]")
     n = dist.n_parties
-    one = Fraction(1) if exact else 1.0
     sizes = [len(a) for a in dist.alphabets]
-    out = np.zeros(
-        dist.probs.shape[:n] + tuple(a + 1 for a in sizes), dtype=dist.probs.dtype
-    )
+    out = np.zeros(dist.probs.shape[:n] + tuple(a + 1 for a in sizes))
     for silent in itertools.product((False, True), repeat=n):
         k = sum(silent)
-        factor = eta ** (n - k) * (one - eta) ** k
+        factor = eta ** (n - k) * (1.0 - eta) ** k
         marg = sequential_sum(dist.probs, [n + q for q in range(n) if silent[q]])
         cell = tuple(sizes[q] if silent[q] else slice(sizes[q]) for q in range(n))
         # adding to zero also turns a -0.0 cell into 0.0

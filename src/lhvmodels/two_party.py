@@ -42,6 +42,7 @@ from .quantum import (
     OutcomeDistribution,
     Scenario,
     _readonly,
+    check_table_size,
     inverse_cdf,
     joint_outcome_table,
     sequential_sum,
@@ -96,13 +97,19 @@ class TwoPartyHiddenVariable:
 
 
 class TwoPartyModel:
-    """Exact builder and seeded sampler for the two-party local model."""
+    """Exact builder and seeded sampler for the two-party local model.
+
+    The size guard (:func:`~lhvmodels.quantum.check_table_size`) bounds
+    the exact table, M_A M_B (A+1)(B+1) entries, before any quantum table
+    is built.
+    """
 
     def __init__(self, scenario: Scenario):
         if scenario.n_parties != 2:
             raise DomainError(
                 f"this model is for 2 parties, scenario has {scenario.n_parties}"
             )
+        check_table_size(scenario)
         self.scenario = scenario
         self.m_a, self.m_b = scenario.n_settings
         self.symmetrization: SymmetrizationSolution = solve_symmetrization(

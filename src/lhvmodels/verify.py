@@ -1,9 +1,9 @@
 """Comparison machinery shared by every verification path.
 
-Three comparison modes, each producing a :class:`ComparisonReport`:
+Two comparison modes, each producing a :class:`ComparisonReport`:
 
-* :func:`compare_exact` — entrywise equality of two exact-rational tables;
-* :func:`compare_float` — entrywise tolerance comparison of float tables;
+* :func:`compare_float` — entrywise tolerance comparison of two outcome
+  tables (float64 arrays over the same cells);
 * :func:`statistical_match` — empirical counts against a target
   distribution, with a per-cell three-sigma normal-approximation criterion.
 
@@ -38,11 +38,11 @@ class ComparisonReport:
     ``worst_cell`` names the cell with the largest deviation (rendered as a
     string; of tied table cells, the first in C order); ``tv_distance`` is
     the total-variation distance — for tables with several settings
-    blocks, the worst block's distance.  ``passed``
-    holds iff the mode's criterion (exact equality, tolerance, or the
-    three-sigma band) holds in every cell; ``failing_cells`` counts the
-    cells that broke it.  ``n_samples`` and ``sigma_bound`` are only set by
-    the statistical mode.
+    blocks, the worst block's distance.  ``mode`` is ``"float"`` or
+    ``"statistical"``.  ``passed`` holds iff the mode's criterion (the
+    tolerance, or the three-sigma band) holds in every cell;
+    ``failing_cells`` counts the cells that broke it.  ``n_samples`` and
+    ``sigma_bound`` are only set by the statistical mode.
     """
 
     mode: str
@@ -78,61 +78,35 @@ def _render_cell(key: Any) -> str:
     )
 
 
-def _float_errors(a: OutcomeDistribution, b: OutcomeDistribution) -> np.ndarray:
-    """|a - b| per cell, in floats; tables over different cells raise
-    :class:`StructuralError`."""
+def compare_float(
+    a: OutcomeDistribution, b: OutcomeDistribution, tol: float = FLOAT_TOL
+) -> ComparisonReport:
+    """Entrywise |a - b| <= tol comparison (default tolerance 1e-10).
+
+    The worst cell is the first largest error in C order; the distance is
+    the worst block's half-sum of the errors.  Tables over different cells
+    raise :class:`StructuralError`.
+    """
     if a.alphabets != b.alphabets or a.probs.shape != b.probs.shape:
         raise StructuralError(
             f"distributions index different cells (shapes {a.probs.shape} "
             f"and {b.probs.shape}, alphabets {a.alphabets} and {b.alphabets})"
         )
-    return np.abs(a.probs.astype(float) - b.probs.astype(float))
-
-
-def _report(
-    mode: str, dist: OutcomeDistribution, err: np.ndarray, failing: int,
-    tv_err: np.ndarray,
-) -> ComparisonReport:
-    """Name the first largest ``err`` cell in C order; the distance is the
-    worst block's half-sum of ``tv_err``."""
-    n = dist.n_parties
+    err = np.abs(a.probs - b.probs)
+    failing = int(np.count_nonzero(err > tol))
+    n = a.n_parties
     i = int(np.argmax(err))
     idx = [int(j) for j in np.unravel_index(i, err.shape)]
-    outcomes = tuple(dist.alphabets[p][idx[n + p]] for p in range(n))
-    tv = 0.5 * sequential_sum(tv_err, range(n, 2 * n))
+    outcomes = tuple(a.alphabets[p][idx[n + p]] for p in range(n))
+    tv = 0.5 * sequential_sum(err, range(n, 2 * n))
     return ComparisonReport(
-        mode=mode,
+        mode="float",
         passed=failing == 0,
         max_abs_error=float(err.flat[i]),
         worst_cell=_render_cell((idx[:n], outcomes)),
         tv_distance=float(np.max(tv)),
         failing_cells=failing,
     )
-
-
-def compare_exact(
-    a: OutcomeDistribution, b: OutcomeDistribution
-) -> ComparisonReport:
-    """Entrywise equality of two exact-rational distributions.
-
-    Passes iff every cell holds the identical reduced rational in both
-    tables.  Tables over different cells raise :class:`StructuralError`.
-    """
-    for dist, name in ((a, "first"), (b, "second")):
-        if dist.numeric_mode != "exact-rational":
-            raise DomainError(f"{name} distribution is not in exact-rational mode")
-    tv_err = _float_errors(a, b)
-    diff = a.probs - b.probs
-    failing = int(np.count_nonzero(diff != 0))
-    return _report("exact", a, np.abs(diff.astype(float)), failing, tv_err)
-
-
-def compare_float(
-    a: OutcomeDistribution, b: OutcomeDistribution, tol: float = FLOAT_TOL
-) -> ComparisonReport:
-    """Entrywise |a - b| <= tol comparison (default tolerance 1e-10)."""
-    err = _float_errors(a, b)
-    return _report("float", a, err, int(np.count_nonzero(err > tol)), err)
 
 
 def tv_distance(p: Mapping[Any, Any], q: Mapping[Any, Any]) -> float:

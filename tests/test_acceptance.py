@@ -132,11 +132,9 @@ def test_criterion_7_multiparty_model_reproduction(acceptance_log, ghz3):
         target = extend_with_inefficiency(quantum, 3 / 5)
         report = compare_float(model_dist, target, tol=TOL)
         assert report.passed, report.worst_cell
-        for choice in quantum.settings_choices():
-            conditional = model_dist.condition_on_all_clicks(choice)
-            block = quantum.block(choice)
-            for outcomes, p in conditional.items():
-                assert abs(p - block[outcomes]) <= TOL
+        conditional = model_dist.all_click_conditional()
+        assert conditional.shape == quantum.probs.shape
+        assert np.max(np.abs(conditional - quantum.probs)) <= TOL
 
 
 def test_criterion_8_dimension_model_statistics(acceptance_log):

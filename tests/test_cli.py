@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lhvmodels import cli
+from lhvmodels import cli, quantum
 from lhvmodels.cli import main
 from lhvmodels.multiparty import MultipartyModel, ScanRow
 from lhvmodels.presets import (
@@ -249,6 +249,18 @@ def test_dim_model_size_guard(tmp_path, capsys, monkeypatch, d):
     captured = capsys.readouterr()
     assert f"lhv: --d {d}: the computational-basis POVM" in captured.err
     assert f"{16 * d**3} bytes" in captured.err
+    assert not out.exists()
+
+
+def test_two_party_verify_size_guard(tmp_path, capsys, monkeypatch, chsh_file):
+    # CHSH's table holds 36 entries; the guard refuses before any report
+    monkeypatch.setattr(quantum, "MAX_TABLE_ENTRIES", 35)
+    out = tmp_path / "r.json"
+    argv = ["two-party", "verify", "--scenario", chsh_file, "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "lhv: exact table would hold 36 entries (limit 35)" in captured.err
     assert not out.exists()
 
 

@@ -8,6 +8,7 @@ from math import comb
 
 import pytest
 
+from lhvmodels import quantum as quantum_module
 from lhvmodels.bounds import eta_multiparty
 from lhvmodels.errors import DomainError, SizeGuardExceeded
 from lhvmodels.multiparty import (
@@ -394,11 +395,9 @@ def test_ghz_model_matches_extended_quantum(ghz3):
 def test_ghz_model_conditional_recovers_quantum(ghz3):
     dist = MultipartyModel(ghz3).exact_distribution()
     quantum = quantum_distribution(ghz3)
-    for choice in quantum.settings_choices():
-        conditional = dist.condition_on_all_clicks(choice)
-        block = quantum.block(choice)
-        for outcomes, p in conditional.items():
-            assert abs(p - block[outcomes]) < TOL
+    conditional = dist.all_click_conditional()
+    assert conditional.shape == quantum.probs.shape
+    assert abs(conditional - quantum.probs).max() < TOL
 
 
 def test_ghz_model_all_silent_probability(ghz3):
@@ -430,12 +429,13 @@ def test_model_requires_uniform_settings(random23):
         MultipartyModel(random23)
 
 
-def test_model_size_guard():
-    big = ghz_scenario(9)
+def test_model_size_guard(monkeypatch):
+    big = ghz_scenario(9)  # 2^9 3^9 = 10,077,696 entries
     with pytest.raises(SizeGuardExceeded):
         MultipartyModel(big)
-    # explicit budget raise admits it
-    MultipartyModel(big, max_table_entries=20_000_000)
+    # a raised limit admits it
+    monkeypatch.setattr(quantum_module, "MAX_TABLE_ENTRIES", 20_000_000)
+    MultipartyModel(big)
 
 
 def test_multiparty_sampler_matches_exact(ghz3, rng):

@@ -188,14 +188,14 @@ def test_validate_povm_rejects_bad_shapes():
 def test_projective_povm_elements():
     povm = projective_povm([[1, 0], [0, 1]])
     np.testing.assert_allclose(povm.elements[0], np.diag([1.0, 0.0]), atol=TOL)
-    assert povm.labels == (0, 1)
+    assert povm.n_outcomes == 2
 
 
 def test_refine_to_rank_one_reconstructs(rng):
     povm = random_povm(3, 4, rng)
     pieces = refine_to_rank_one(povm)
     total_weight = 0.0
-    for label, element in zip(povm.labels, povm.elements):
+    for label, element in enumerate(povm.elements):
         rebuilt = sum(
             p.weight * np.outer(p.direction, p.direction.conj())
             for p in pieces
@@ -223,6 +223,17 @@ def test_scenario_rejects_dimension_mismatch():
     qutrit = computational_povm(3)
     with pytest.raises(StructuralError):
         Scenario(state, ([qutrit], [qutrit]))
+
+
+def test_scenario_rejects_mixed_outcome_counts():
+    # party 0: a 3-outcome and a 2-outcome measurement on the same qutrit
+    two_outcome = Povm((np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0])))
+    three_outcome = computational_povm(3)
+    with pytest.raises(StructuralError):
+        Scenario(
+            maximally_entangled(3),
+            ([three_outcome, two_outcome], [three_outcome]),
+        )
 
 
 def test_scenario_needs_two_parties():
@@ -367,27 +378,11 @@ def test_extend_single_no_click_cell():
     assert abs(extended.block((0, 0))[(0, NO_CLICK)] - 1 / 9) < TOL
 
 
-def test_extend_rational_mode_is_exact():
-    half = Fraction(1, 2)
-    probs = np.array(
-        [[[[half, Fraction(0)], [Fraction(0), half]]]], dtype=object
-    )
-    dist = OutcomeDistribution(((0, 1), (0, 1)), probs)
-    extended = extend_with_inefficiency(dist, Fraction(2, 3))
-    block = extended.block((0, 0))
-    assert block[(NO_CLICK, NO_CLICK)] == Fraction(1, 9)
-    assert block[(0, NO_CLICK)] == Fraction(1, 9)
-    assert block[(0, 0)] == Fraction(2, 9)
-    assert sum(block.values()) == 1
-
-
 def test_conditioning_recovers_quantum_block(chsh):
     dist = quantum_distribution(chsh)
-    extended = extend_with_inefficiency(dist, 2 / 3)
-    for choice in dist.settings_choices():
-        conditional = extended.condition_on_all_clicks(choice)
-        for outcomes, p in conditional.items():
-            assert abs(p - dist.block(choice)[outcomes]) < 1e-10
+    conditional = extend_with_inefficiency(dist, 2 / 3).all_click_conditional()
+    assert conditional.shape == dist.probs.shape
+    assert np.max(np.abs(conditional - dist.probs)) < 1e-10
 
 
 def test_distribution_rejects_bad_normalization():
@@ -408,13 +403,13 @@ def test_distribution_checks_shape_range_and_settings():
     outside[0, 0, 0, 0], outside[0, 0, 1, 2] = 1.5, -0.5
     with pytest.raises(InvariantViolation):
         OutcomeDistribution(alphabets, outside)
-    with pytest.raises(InvariantViolation):  # exact mode: sums exactly to 1
+    with pytest.raises(InvariantViolation):  # six sevenths
         OutcomeDistribution(
             alphabets, np.full((1, 1, 2, 3), Fraction(1, 7), dtype=object)
         )
 
     dist = OutcomeDistribution(alphabets, np.full((2, 4, 2, 3), 1 / 6))
-    assert dist.n_parties == 2 and dist.numeric_mode == "float"
+    assert dist.n_parties == 2 and dist.probs.dtype == np.float64
     assert len(dist.table) == 2 * 4 * 2 * 3
     assert dist.settings_choices() == list(itertools.product(range(2), range(4)))
     assert list(dist.block((1, 3))) == list(itertools.product(*alphabets))
@@ -427,22 +422,31 @@ def test_distribution_checks_shape_range_and_settings():
         ((0, 1), (NO_CLICK,)), np.full((1, 1, 2, 1), 0.5)
     )
     with pytest.raises(DomainError):
-        never_fires.condition_on_all_clicks((0, 0))
+        never_fires.all_click_conditional()
+
+
+def test_distribution_stores_fraction_array_as_float64():
+    half, zero = Fraction(1, 2), Fraction(0)
+    probs = np.array([[[[half, zero], [zero, half]]]], dtype=object)
+    dist = OutcomeDistribution(((0, 1), (0, 1)), probs)
+    assert dist.probs.dtype == np.float64
+    assert dist.probs.tolist() == [[[[0.5, 0.0], [0.0, 0.5]]]]
+    extended = extend_with_inefficiency(dist, Fraction(2, 3))
+    assert extended.probs.dtype == np.float64
+    assert extended.block((0, 0))[(0, 0)] == pytest.approx(2 / 9, abs=TOL)
 
 
 def _reference_extend(dist, eta):
     """The label-keyed dict loop that the dense eta-extension replaced,
     kept as an oracle for its values and its float rounding."""
-    exact = dist.numeric_mode == "exact-rational"
-    eta = Fraction(eta) if exact else float(eta)
+    eta = float(eta)
     n = dist.n_parties
-    one = Fraction(1) if exact else 1.0
     table = {}
     for settings in dist.settings_choices():
         block = dist.block(settings)
         for silent in itertools.product((False, True), repeat=n):
             k = sum(silent)
-            factor = eta ** (n - k) * (one - eta) ** k
+            factor = eta ** (n - k) * (1.0 - eta) ** k
             marg = {}
             for outcomes, p in block.items():
                 key = tuple(
@@ -454,32 +458,24 @@ def _reference_extend(dist, eta):
     return table
 
 
-def test_extend_matches_dict_reference_in_rational_mode():
+def _counts_distribution():
+    """Three parties, a size-1 settings axis and a string alphabet: each
+    block's counts divided by its total."""
     rng = np.random.default_rng(5)
     counts = rng.integers(0, 7, size=(2, 1, 3, 2, 3, 2))
     counts[..., 0, 0, 0] += 1  # no empty block
-    probs = np.empty(counts.shape, dtype=object)
-    for s in np.ndindex(counts.shape[:3]):
-        total = int(counts[s].sum())
-        for o in np.ndindex(counts.shape[3:]):
-            probs[s + o] = Fraction(int(counts[s + o]), total)
-    dist = OutcomeDistribution(((0, 1), ("a", "b", "c"), (0, 1)), probs)
-    eta = Fraction(3, 7)
-    extended = extend_with_inefficiency(dist, eta)
-    assert extended.numeric_mode == "exact-rational"
-    assert extended.probs.shape == (2, 1, 3, 3, 4, 3)
-    table = extended.table
-    assert all(type(p) is Fraction for p in table.values())
-    assert table == _reference_extend(dist, eta)
+    totals = counts.sum(axis=(3, 4, 5), keepdims=True)
+    return OutcomeDistribution(((0, 1), ("a", "b", "c"), (0, 1)), counts / totals)
 
 
-@pytest.mark.parametrize("case", ["ghz4", "random23"])
+@pytest.mark.parametrize("case", ["ghz4", "random23", "counts3"])
 def test_extend_matches_dict_reference_bit_for_bit(case, random23):
     if case == "ghz4":
-        scenario, eta = ghz_scenario(4), float(eta_multiparty(4, 2))
+        dist, eta = quantum_distribution(ghz_scenario(4)), float(eta_multiparty(4, 2))
+    elif case == "random23":
+        dist, eta = quantum_distribution(random23), float(eta_two_party(2, 3))
     else:
-        scenario, eta = random23, float(eta_two_party(2, 3))
-    dist = quantum_distribution(scenario)
+        dist, eta = _counts_distribution(), 3 / 7
     got = extend_with_inefficiency(dist, eta).table
     want = _reference_extend(dist, eta)
     assert {k: v.hex() for k, v in got.items()} == {

@@ -5,7 +5,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from lhvmodels.errors import DomainError
+from lhvmodels import quantum as quantum_module
+from lhvmodels.errors import DomainError, SizeGuardExceeded
 from lhvmodels.presets import random_two_party_scenario
 from lhvmodels.quantum import (
     CHUNK,
@@ -24,6 +25,21 @@ TOL = 1e-10
 def test_model_rejects_wrong_party_count(ghz3):
     with pytest.raises(DomainError):
         TwoPartyModel(ghz3)
+
+
+def test_model_size_guard(chsh, monkeypatch):
+    # CHSH: M_A M_B (A+1)(B+1) = 2 * 2 * 3 * 3 = 36 entries
+    monkeypatch.setattr(quantum_module, "MAX_TABLE_ENTRIES", 36)
+    TwoPartyModel(chsh)
+
+    def refuse(*_):
+        raise AssertionError("quantum table built past the size guard")
+
+    monkeypatch.setattr("lhvmodels.two_party.joint_outcome_table", refuse)
+    monkeypatch.setattr("lhvmodels.two_party.subset_joint_table", refuse)
+    monkeypatch.setattr(quantum_module, "MAX_TABLE_ENTRIES", 35)
+    with pytest.raises(SizeGuardExceeded):
+        TwoPartyModel(chsh)
 
 
 def test_exact_distribution_matches_extended_quantum(chsh):
@@ -49,11 +65,9 @@ def test_exact_distribution_matches_on_random_scenario(random23):
 def test_conditional_on_clicks_recovers_quantum(random23):
     dist = TwoPartyModel(random23).exact_distribution()
     quantum = quantum_distribution(random23)
-    for choice in quantum.settings_choices():
-        conditional = dist.condition_on_all_clicks(choice)
-        block = quantum.block(choice)
-        for outcomes, p in conditional.items():
-            assert abs(p - block[outcomes]) < TOL
+    conditional = dist.all_click_conditional()
+    assert conditional.shape == quantum.probs.shape
+    assert np.max(np.abs(conditional - quantum.probs)) < TOL
 
 
 def test_hidden_variable_enumeration_agrees(chsh, random23):

@@ -1,47 +1,31 @@
-"""Comparison reports: exact, tolerance-based, and statistical."""
-
-from fractions import Fraction
+"""Comparison reports: tolerance-based and statistical."""
 
 import numpy as np
 import pytest
 
 from lhvmodels.errors import DomainError, StructuralError
 from lhvmodels.quantum import OutcomeDistribution
-from lhvmodels.verify import (
-    compare_exact,
-    compare_float,
-    statistical_match,
-    tv_distance,
-)
+from lhvmodels.verify import compare_float, statistical_match, tv_distance
 
 
-def _dist(p, mode="float"):
+def _dist(p):
     """Two-outcome single-setting distribution with P(0,0) = p."""
-    exact = mode == "exact-rational"
-    if exact:
-        p = Fraction(p)
-        q = 1 - p
-    else:
-        q = 1.0 - p
-    zero = 0 if exact else 0.0
-    probs = np.array([[[[p, q], [zero, zero]]]], dtype=object if exact else float)
+    probs = np.array([[[[p, 1.0 - p], [0.0, 0.0]]]])
     return OutcomeDistribution(((0, 1), (0, 1)), probs)
 
 
-def test_compare_exact_pass_and_fail():
-    a = _dist(Fraction(1, 3), "exact-rational")
-    report = compare_exact(a, _dist(Fraction(1, 3), "exact-rational"))
+def test_compare_float_reports_first_tied_cell():
+    a = _dist(0.25)
+    report = compare_float(a, _dist(0.25))
     assert report.passed and report.max_abs_error == 0.0
+    assert report.failing_cells == 0 and report.tv_distance == 0.0
 
-    report = compare_exact(a, _dist(Fraction(1, 4), "exact-rational"))
-    assert not report.passed
+    # P(0,0) and P(0,1) both move by exactly 0.25: the first in C order wins
+    report = compare_float(a, _dist(0.5))
+    assert not report.passed and report.mode == "float"
     assert report.failing_cells == 2  # the changed cell and its complement
-    assert "0,0" in report.worst_cell
-
-
-def test_compare_exact_requires_rational_mode():
-    with pytest.raises(DomainError):
-        compare_exact(_dist(0.5), _dist(0.5))
+    assert report.max_abs_error == 0.25 and report.tv_distance == 0.25
+    assert report.worst_cell == "settings=(0,0) outcomes=(0,0)"
 
 
 def test_compare_float_tolerance_boundary():
