@@ -741,17 +741,9 @@ def _cmd_dim_model_verify(args) -> int:
     report = run_dimension_model(
         args.d, delta, x_povm, y_povm, args.samples, np.random.default_rng(seed)
     )
-    rows = (
-        (str(c.outcome_a), str(c.outcome_b), c.empirical, c.target, c.bound,
-         c.sigma, c.passed)
-        for c in report.cells
-    )
-    _write_report(
-        config,
-        report.to_dict(),
-        ("a", "b", "empirical", "target", "bound", "sigma", "pass"),
-        rows,
-    )
+    body = report.to_dict()
+    cells = body["cells"]
+    _write_report(config, body, tuple(cells[0]), (tuple(c.values()) for c in cells))
     return 0 if report.passed else 1
 
 

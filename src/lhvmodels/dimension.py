@@ -18,10 +18,12 @@ of marginals, while both marginals are reproduced exactly.  Symmetrizing
 the roles gives detector efficiency eta = 2Q/(1+Q) >= (epsilon/4d)^(2(d-1)).
 
 :func:`run_dimension_model` estimates all of this by vectorized Monte
-Carlo, counted chunk by chunk in bounded memory, and reports per-cell
-empirical probabilities, targets, error bounds, and three-sigma
-statistical margins.  It is the one implementation of the two parties'
-rules.  Its conditional table has a closed form, which the tests hold it
+Carlo, counted chunk by chunk in bounded memory, on the arrays of
+:func:`~lhvmodels.quantum.refine_to_rank_one`.  Its report holds the
+coarse count and target arrays and the :func:`~lhvmodels.verify.sigma_band`
+checks of the joint cells (with the epsilon bound as slack), both
+marginals and the firing rate.  It is the one implementation of the two
+parties' rules.  Its conditional table has a closed form, which the tests hold it
 against: P(a, b | fire) = sum over rank-one elements i -> a, j -> b of
 (w_i w_j / d) (g_ij + (s/d)(1 - d g_ij)), with s = sin^2 delta and
 g_ij = |sum_k x_ik y_jk|^2.
@@ -31,8 +33,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
-from typing import Any, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,19 +43,16 @@ from .bounds import (
     eta_symmetrized,
     fire_probability,
 )
-from .errors import DomainError, InvariantViolation, ZeroFiringError
+from .errors import DomainError, ZeroFiringError
 from .quantum import (
     Povm,
-    RankOnePovmElement,
     chunk_sizes,
     haar_random_state,
     inverse_cdf,
     refine_to_rank_one,
 )
-from .verify import SIGMA_FACTOR
+from .verify import sigma_band
 
-#: Allowed deviation of a rank-one decomposition's total weight from d.
-WEIGHT_SUM_TOL = 1e-8
 #: Bytes of normals and complex product one chunk of the Monte Carlo run
 #: may hold: a working set near a core's 2 MiB L2 cache, whatever d and
 #: the POVMs are.
@@ -104,130 +102,102 @@ class DimensionModelParams:
         return eta_lower_bound(self.d, eps)
 
 
-def _rank_one_arrays(
-    elements: Sequence[RankOnePovmElement],
-) -> tuple[np.ndarray, np.ndarray, list[Any]]:
-    if not elements:
-        raise DomainError("need at least one rank-one element")
-    weights = np.array([e.weight for e in elements])
-    directions = np.stack([e.direction for e in elements])
-    labels = [e.parent_label for e in elements]
-    d = directions.shape[1]
-    if abs(weights.sum() - d) > WEIGHT_SUM_TOL:
-        raise InvariantViolation(
-            f"rank-one weights sum to {weights.sum()!r}, expected the "
-            f"dimension {d} (within {WEIGHT_SUM_TOL})"
-        )
-    return weights, directions, labels
-
-
-@dataclass(frozen=True)
-class CellCheck:
-    """One joint outcome cell of the Monte Carlo report."""
-
-    outcome_a: Any
-    outcome_b: Any
-    empirical: float
-    target: float
-    bound: float
-    sigma: float
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "a": str(self.outcome_a),
-            "b": str(self.outcome_b),
-            "empirical": self.empirical,
-            "target": self.target,
-            "bound": self.bound,
-            "sigma": self.sigma,
-            "pass": self.passed,
-        }
-
-
-@dataclass(frozen=True)
-class MarginalCheck:
-    """One single-party marginal cell (three-sigma criterion)."""
-
-    outcome: Any
-    empirical: float
-    target: float
-    sigma: float
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "outcome": str(self.outcome),
-            "empirical": self.empirical,
-            "target": self.target,
-            "sigma": self.sigma,
-            "pass": self.passed,
-        }
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DimensionModelReport:
-    """Monte Carlo verification results.
+    """Monte Carlo verification results, as arrays over parent outcomes.
 
-    ``cells`` checks every joint outcome conditional on Alice firing
-    against |empirical - target| <= bound + 3 sigma, with bound =
-    epsilon * P(a|X) * P(b|Y).  ``alice_marginal`` (conditional on firing)
-    and ``bob_marginal`` (unconditional) use plain three-sigma bands.
-    ``bob_marginal_given_fire`` is reported for diagnosis only and carries
-    no pass criterion: only Bob's unconditional marginal is required to
-    match |y_b|/d, and no separate bound for the conditional one is
-    established — it stays within the joint-cell epsilon bound implicitly.
+    ``parents_x`` and ``parents_y`` are the outcome positions of Alice's
+    and Bob's POVMs that some rank-one piece refines (rows and columns of
+    the joint arrays).  ``joint_counts`` counts the draws where Alice
+    fired by joint outcome, ``bob_counts`` every draw by Bob's outcome;
+    ``target``, ``alice_target`` and ``bob_target`` are the quantum joint
+    table and marginals P(a|X) = |x_a|/d, P(b|Y) = |y_b|/d, and ``bound``
+    is the joint cells' slack epsilon P(a|X) P(b|Y).
+
+    The four :func:`~lhvmodels.verify.sigma_band` results
+    ``(freq, sigma, passed)`` are the checks: ``joint`` conditional on
+    firing, with the slack ``bound``; ``alice``
+    (conditional on firing) and ``bob`` (unconditional) marginals; and
+    ``q``, the firing rate against Q.  Bob's marginal given firing is
+    reported for diagnosis only and carries no pass criterion: only his
+    unconditional marginal is required to match |y_b|/d, and no separate
+    bound for the conditional one is established — it stays within the
+    joint-cell epsilon bound implicitly.
     """
 
     params: DimensionModelParams
     n_samples: int
     n_fired: int
-    q_hat: float
-    q_sigma: float
-    q_passed: bool
-    eta: float
-    efficiency_lower_bound: float | None
-    eta_above_bound: bool
-    cells: tuple[CellCheck, ...]
-    alice_marginal: tuple[MarginalCheck, ...]
-    bob_marginal: tuple[MarginalCheck, ...]
-    bob_marginal_given_fire: tuple[tuple[Any, float, float], ...]
-    passed: bool = field(default=False)
+    parents_x: np.ndarray
+    parents_y: np.ndarray
+    joint_counts: np.ndarray
+    bob_counts: np.ndarray
+    target: np.ndarray
+    alice_target: np.ndarray
+    bob_target: np.ndarray
+    bound: np.ndarray
+    joint: tuple[np.ndarray, np.ndarray, np.ndarray]
+    alice: tuple[np.ndarray, np.ndarray, np.ndarray]
+    bob: tuple[np.ndarray, np.ndarray, np.ndarray]
+    q: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+    @property
+    def eta_above_bound(self) -> bool:
+        lb = self.params.efficiency_lower_bound
+        return lb is None or self.params.eta >= lb
+
+    @property
+    def passed(self) -> bool:
+        return self.eta_above_bound and all(
+            bool(check[2].all())
+            for check in (self.q, self.joint, self.alice, self.bob)
+        )
 
     def to_dict(self) -> dict:
+        """The JSON report body; its ``cells`` are also the CSV rows, one
+        per joint outcome in C order."""
+        params = self.params
+
+        def marginal(labels, check, target):
+            return [
+                {"outcome": str(o), "empirical": f, "target": t, "sigma": s,
+                 "pass": ok}
+                for o, t, f, s, ok in zip(labels.tolist(), target.tolist(),
+                                          *(a.tolist() for a in check))
+            ]
+
+        a, b = np.meshgrid(self.parents_x, self.parents_y, indexing="ij")
+        columns = (a.astype(str), b.astype(str), self.joint[0], self.target,
+                   self.bound, *self.joint[1:])
+        fired_b = self.joint_counts.sum(axis=0) / self.n_fired
         return {
-            "d": self.params.d,
-            "delta": self.params.delta,
-            "epsilon": self.params.epsilon,
-            "q_theory": self.params.fire_prob,
-            "q_hat": self.q_hat,
-            "q_sigma": self.q_sigma,
-            "q_pass": self.q_passed,
-            "eta": self.eta,
-            "efficiency_lower_bound": self.efficiency_lower_bound,
+            "d": params.d,
+            "delta": params.delta,
+            "epsilon": params.epsilon,
+            "q_theory": params.fire_prob,
+            "q_hat": float(self.q[0]),
+            "q_sigma": float(self.q[1]),
+            "q_pass": bool(self.q[2]),
+            "eta": params.eta,
+            "efficiency_lower_bound": params.efficiency_lower_bound,
             "eta_above_bound": self.eta_above_bound,
             "n_samples": self.n_samples,
             "n_fired": self.n_fired,
-            "cells": [c.to_dict() for c in self.cells],
-            "alice_marginal": [c.to_dict() for c in self.alice_marginal],
-            "bob_marginal": [c.to_dict() for c in self.bob_marginal],
+            "cells": [
+                dict(zip(("a", "b", "empirical", "target", "bound", "sigma",
+                          "pass"), row))
+                for row in zip(*(c.ravel().tolist() for c in columns))
+            ],
+            "alice_marginal": marginal(self.parents_x, self.alice,
+                                       self.alice_target),
+            "bob_marginal": marginal(self.parents_y, self.bob, self.bob_target),
             "bob_marginal_given_fire": [
                 {"outcome": str(o), "empirical": e, "target": t}
-                for o, e, t in self.bob_marginal_given_fire
+                for o, e, t in zip(self.parents_y.tolist(), fired_b.tolist(),
+                                   self.bob_target.tolist())
             ],
             "pass": self.passed,
         }
-
-
-def _coarse_map(labels: list[Any]) -> tuple[list[Any], np.ndarray]:
-    """Distinct parent labels (first-appearance order) and the index map."""
-    parents: list[Any] = []
-    idx = np.empty(len(labels), dtype=np.int64)
-    for j, lab in enumerate(labels):
-        if lab not in parents:
-            parents.append(lab)
-        idx[j] = parents.index(lab)
-    return parents, idx
 
 
 def run_dimension_model(
@@ -271,15 +241,16 @@ def run_dimension_model(
     samples = int(samples)
     if samples < 1:
         raise DomainError(f"need at least one sample, got {samples}")
-    wx, dir_x, labels_x = _rank_one_arrays(refine_to_rank_one(x_povm))
-    wy, dir_y, labels_y = _rank_one_arrays(refine_to_rank_one(y_povm))
+    wx, dir_x, labels_x = refine_to_rank_one(x_povm)
+    wy, dir_y, labels_y = refine_to_rank_one(y_povm)
     if dir_x.shape[1] != d or dir_y.shape[1] != d:
         raise DomainError(
             f"POVMs act on dimensions {dir_x.shape[1]}/{dir_y.shape[1]}, "
             f"expected {d}"
         )
-    parents_x, coarse_x = _coarse_map(labels_x)
-    parents_y, coarse_y = _coarse_map(labels_y)
+    # the labels increase, so np.unique keeps their order of appearance
+    parents_x, coarse_x = np.unique(labels_x, return_inverse=True)
+    parents_y, coarse_y = np.unique(labels_y, return_inverse=True)
     n_x, n_y = len(parents_x), len(parents_y)
     n_rx = len(wx)
     chunk = max(1, CHUNK_BYTES // (16 * (d + n_rx + len(wy))))
@@ -354,85 +325,27 @@ def run_dimension_model(
     target_ref = (wx[:, None] * wy[None, :]) * np.abs(gram) ** 2 / d
     target = np.zeros((n_x, n_y))
     np.add.at(target, (coarse_x[:, None], coarse_y[None, :]), target_ref)
-    wx_par = np.zeros(n_x)
-    np.add.at(wx_par, coarse_x, wx)
-    wy_par = np.zeros(n_y)
-    np.add.at(wy_par, coarse_y, wy)
-    marg_a_qm = wx_par / d
-    marg_b_qm = wy_par / d
-
-    eps = params.epsilon
-    cells = []
-    emp = joint_counts / n_fired
-    for ia in range(n_x):
-        for ib in range(n_y):
-            t = float(target[ia, ib])
-            bound = eps * float(marg_a_qm[ia]) * float(marg_b_qm[ib])
-            sigma = math.sqrt(max(t * (1.0 - t), 0.0) / n_fired)
-            err = abs(float(emp[ia, ib]) - t)
-            cells.append(
-                CellCheck(
-                    parents_x[ia],
-                    parents_y[ib],
-                    float(emp[ia, ib]),
-                    t,
-                    bound,
-                    sigma,
-                    err <= bound + SIGMA_FACTOR * sigma,
-                )
-            )
-
-    def _marginal_checks(counts, total, targets, labels):
-        out = []
-        for j, lab in enumerate(labels):
-            p = float(targets[j])
-            f = counts[j] / total
-            sigma = math.sqrt(max(p * (1.0 - p), 0.0) / total)
-            out.append(
-                MarginalCheck(
-                    lab, float(f), p, sigma, abs(f - p) <= SIGMA_FACTOR * sigma
-                )
-            )
-        return tuple(out)
-
-    alice_marg = _marginal_checks(
-        joint_counts.sum(axis=1), n_fired, marg_a_qm, parents_x
-    )
-    bob_marg = _marginal_checks(
-        bob_counts, samples, marg_b_qm, parents_y
-    )
-    b_fired_counts = joint_counts.sum(axis=0)
-    bob_cond = tuple(
-        (parents_y[j], float(b_fired_counts[j] / n_fired), float(marg_b_qm[j]))
-        for j in range(n_y)
-    )
-
-    q_hat = n_fired / samples
-    q_theory = params.fire_prob
-    q_sigma = math.sqrt(q_theory * (1.0 - q_theory) / samples)
-    q_passed = abs(q_hat - q_theory) <= SIGMA_FACTOR * q_sigma
-    lb = params.efficiency_lower_bound
-    eta_above = True if lb is None else params.eta >= lb
-    passed = (
-        q_passed
-        and eta_above
-        and all(c.passed for c in cells)
-        and all(c.passed for c in alice_marg)
-        and all(c.passed for c in bob_marg)
-    )
+    alice_target = np.zeros(n_x)
+    np.add.at(alice_target, coarse_x, wx)
+    bob_target = np.zeros(n_y)
+    np.add.at(bob_target, coarse_y, wy)
+    alice_target /= d
+    bob_target /= d
+    bound = params.epsilon * alice_target[:, None] * bob_target
     return DimensionModelReport(
         params=params,
         n_samples=samples,
         n_fired=n_fired,
-        q_hat=q_hat,
-        q_sigma=q_sigma,
-        q_passed=q_passed,
-        eta=params.eta,
-        efficiency_lower_bound=lb,
-        eta_above_bound=eta_above,
-        cells=tuple(cells),
-        alice_marginal=alice_marg,
-        bob_marginal=bob_marg,
-        bob_marginal_given_fire=bob_cond,
-        passed=passed,
+        parents_x=parents_x,
+        parents_y=parents_y,
+        joint_counts=joint_counts,
+        bob_counts=bob_counts,
+        target=target,
+        alice_target=alice_target,
+        bob_target=bob_target,
+        bound=bound,
+        joint=sigma_band(joint_counts, n_fired, target, bound),
+        alice=sigma_band(joint_counts.sum(axis=1), n_fired, alice_target),
+        bob=sigma_band(bob_counts, samples, bob_target),
+        q=sigma_band(n_fired, samples, params.fire_prob),
     )

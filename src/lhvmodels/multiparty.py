@@ -484,6 +484,24 @@ class MultipartyModel:
         )
         return self._marginals[index]
 
+    def _special_table(
+        self,
+        choice: tuple[int, ...],
+        special: int,
+        guessers: tuple[int, ...],
+        guess_settings: tuple[int, ...],
+    ) -> np.ndarray:
+        """The quantum marginal of the guessers at their guessed settings
+        and the special party at its own, guessers' axes first (in party
+        order) and the special party's last."""
+        parties = tuple(sorted(guessers + (special,)))
+        settings = tuple(
+            choice[p] if p == special else guess_settings[guessers.index(p)]
+            for p in parties
+        )
+        table = self._subset_table(parties, settings)
+        return np.moveaxis(table, parties.index(special), -1)
+
     # ------------------------------------------------------------------
     # exact distribution
     # ------------------------------------------------------------------
@@ -590,23 +608,13 @@ class MultipartyModel:
             guess_marg = self._subset_table(guessers, guess_settings)
         else:
             guess_marg = np.ones(())
-        joint_parties = tuple(sorted(guessers + (special,)))
-        joint_settings = tuple(
-            choice[special] if p == special else guess_settings[guessers.index(p)]
-            for p in joint_parties
-        )
-        joint = self._subset_table(joint_parties, joint_settings)
+        joint = self._special_table(choice, special, guessers, guess_settings)
         for guessed in np.ndindex(guess_marg.shape):
             p_guess = float(guess_marg[guessed])
             if p_guess <= 0.0:
                 continue
             # special party's conditional response on its own setting
-            sel: list[Any] = [slice(None)] * joint.ndim
-            for j, p in enumerate(joint_parties):
-                if p != special:
-                    sel[j] = guessed[guessers.index(p)]
-            special_dist = np.clip(np.asarray(joint[tuple(sel)]), 0.0, None)
-            special_dist = special_dist / p_guess
+            special_dist = np.clip(joint[guessed], 0.0, None) / p_guess
             # compose per-party responses (each a fn of own setting + lam)
             vecs = []
             for p in range(n):
@@ -670,17 +678,8 @@ class MultipartyModel:
             if guess_settings[j] == choice[p]:
                 outcomes[p] = self._alphabets[p][guessed[j]]
         # special party draws the quantum conditional
-        joint_parties = tuple(sorted(guessers + (special,)))
-        joint_settings = tuple(
-            choice[special] if p == special else guess_settings[guessers.index(p)]
-            for p in joint_parties
-        )
-        joint = self._subset_table(joint_parties, joint_settings)
-        sel: list[Any] = [slice(None)] * joint.ndim
-        for j, p in enumerate(joint_parties):
-            if p != special:
-                sel[j] = guessed[guessers.index(p)]
-        cond = np.clip(np.asarray(joint[tuple(sel)]), 0.0, None)
+        joint = self._special_table(choice, special, guessers, guess_settings)
+        cond = np.clip(joint[guessed], 0.0, None)
         cond = cond / cond.sum()
         outcomes[special] = self._alphabets[special][
             int(rng.choice(len(cond), p=cond))

@@ -56,6 +56,8 @@ NORM_TOL = 1e-12
 POVM_TOL = 1e-10
 #: Eigenvalues below this are treated as null directions when refining.
 RANK_ONE_CUTOFF = 1e-12
+#: Allowed deviation of a rank-one decomposition's total weight from d.
+WEIGHT_SUM_TOL = 1e-8
 #: Per-settings-block normalization tolerance of outcome tables.
 BLOCK_SUM_TOL = 1e-12
 #: Largest eta-extended table, in entries, that a model may build.
@@ -187,7 +189,8 @@ def maximally_entangled(d: int) -> QuantumState:
     """The two-party state (1/sqrt(d)) sum_i |ii>, in the computational basis.
 
     The computational basis is, by convention, the Schmidt basis of this
-    state; :func:`conjugate_in_schmidt_basis` conjugates relative to it.
+    state: <Phi| (|u> (x) |v>) = (1/sqrt(d)) <u*|v>, with |u*> the entrywise
+    complex conjugate of |u>.
     """
     return ghz_state(2, d)
 
@@ -261,16 +264,6 @@ def inverse_cdf(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
     for j in range(1, cum.shape[1]):
         idx += u > cum[:, j]
     return idx
-
-
-def conjugate_in_schmidt_basis(v: np.ndarray) -> np.ndarray:
-    """Entrywise complex conjugate, relative to the computational basis.
-
-    The computational basis is the Schmidt basis of
-    :func:`maximally_entangled`, for which <Phi| (|u> (x) |v>) =
-    (1/sqrt(d)) <u*|v> with |u*> the vector returned here.
-    """
-    return np.conj(np.asarray(v, dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -367,43 +360,18 @@ def validate_povm(p: Povm) -> PovmValidationReport:
     return PovmValidationReport(True, None, max(pos_dev, comp_dev))
 
 
-@dataclass(frozen=True, eq=False)
-class RankOnePovmElement:
-    """A weighted direction ``weight * |v><v|`` refined from a POVM element.
+def refine_to_rank_one(p: Povm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split every POVM element into rank-one pieces ``weight * |v><v|`` via
+    eigendecomposition.
 
-    ``weight`` is the scalar trace of the refined element, ``direction`` the
-    unit vector, and ``parent_label`` the outcome position of the original
-    POVM element this one coarse-grains back to.
-    """
-
-    weight: float
-    direction: np.ndarray
-    parent_label: int
-
-    def __post_init__(self) -> None:
-        w = float(self.weight)
-        if w < 0.0:
-            raise InvariantViolation(f"negative weight {w!r}")
-        v = np.asarray(self.direction, dtype=complex)
-        if v.ndim != 1:
-            raise StructuralError(f"direction must be a vector, got shape {v.shape}")
-        norm2 = float(np.vdot(v, v).real)
-        if abs(norm2 - 1.0) > NORM_TOL:
-            raise InvariantViolation(
-                f"direction squared norm {norm2!r} differs from 1"
-            )
-        object.__setattr__(self, "weight", w)
-        object.__setattr__(self, "direction", _readonly(v))
-
-
-def refine_to_rank_one(p: Povm) -> list[RankOnePovmElement]:
-    """Split every POVM element into rank-one pieces via eigendecomposition.
-
-    One refined element is emitted per eigenvalue above ``1e-12`` (null
-    directions carry no probability and are dropped); the sum of the
-    reconstructed matrices reproduces the original element.  Probabilities
-    computed from the refined elements, coarse-grained back over
-    ``parent_label``, agree with the unrefined ones.
+    Returns ``(weights, directions, parents)``, one row per piece: the
+    piece's trace, its unit vector (a C-contiguous complex ``(n, d)``
+    array) and the outcome position of the element it coarse-grains back
+    to.  Pieces come element by element, each element's in ascending
+    eigenvalue order, one per eigenvalue above ``1e-12`` (null directions
+    carry no probability and are dropped); the sum of the reconstructed
+    matrices reproduces the original element, and the weights sum to d
+    within :data:`WEIGHT_SUM_TOL`.
     """
     report = validate_povm(p)
     if not report.ok:
@@ -411,13 +379,21 @@ def refine_to_rank_one(p: Povm) -> list[RankOnePovmElement]:
             f"cannot refine invalid POVM ({report.failed_invariant} violated "
             f"by {report.worst_deviation:.3e})"
         )
-    refined: list[RankOnePovmElement] = []
+    weights, directions, parents = [], [], []
     for label, e in enumerate(p.elements):
         w, vecs = np.linalg.eigh((e + e.conj().T) / 2.0)
-        for j in range(len(w)):
-            if w[j] > RANK_ONE_CUTOFF:
-                refined.append(RankOnePovmElement(float(w[j]), vecs[:, j], label))
-    return refined
+        keep = w > RANK_ONE_CUTOFF
+        weights.append(w[keep])
+        directions.append(vecs[:, keep].T)
+        parents.append(np.full(int(keep.sum()), label))
+    weights = np.concatenate(weights)
+    d = p.elements[0].shape[0]
+    if abs(weights.sum() - d) > WEIGHT_SUM_TOL:
+        raise InvariantViolation(
+            f"rank-one weights sum to {weights.sum()!r}, expected the "
+            f"dimension {d} (within {WEIGHT_SUM_TOL})"
+        )
+    return weights, np.concatenate(directions), np.concatenate(parents)
 
 
 # ---------------------------------------------------------------------------

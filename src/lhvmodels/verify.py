@@ -7,9 +7,11 @@ Two comparison modes, each producing a :class:`ComparisonReport`:
 * :func:`statistical_match` — empirical counts against a target
   distribution, with a per-cell three-sigma normal-approximation criterion.
 
-The per-cell criterion deliberately applies no multiple-comparison
-correction; reports carry the number of failing cells so an isolated
-borderline cell can be told apart from a systematic discrepancy.
+The statistical criterion is one array routine, :func:`sigma_band`, which
+the dimension model's checks call too.  It deliberately applies no
+multiple-comparison correction; reports carry the number of failing cells
+so an isolated borderline cell can be told apart from a systematic
+discrepancy.
 """
 
 from __future__ import annotations
@@ -122,17 +124,31 @@ def tv_distance(p: Mapping[Any, Any], q: Mapping[Any, Any]) -> float:
     )
 
 
+def sigma_band(
+    counts: Any, total: Any, target: Any, slack: Any = 0.0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The statistical acceptance rule, elementwise over arrays.
+
+    Returns ``(freq, sigma, passed)``: the frequencies ``counts / total``,
+    the normal standard deviations sigma = sqrt(max(p(1-p), 0)/total) of
+    the target probabilities ``p``, and whether |freq - p| <= slack +
+    :data:`SIGMA_FACTOR` sigma in each cell.  The arguments broadcast.
+    """
+    p = np.asarray(target, dtype=np.float64)
+    freq = np.asarray(counts) / total
+    sigma = np.sqrt(np.maximum(p * (1.0 - p), 0.0) / total)
+    return freq, sigma, np.abs(freq - p) <= slack + SIGMA_FACTOR * sigma
+
+
 def statistical_match(
-    counts: Mapping[Any, int],
-    target: Mapping[Any, Any],
-    sigma_factor: float = SIGMA_FACTOR,
+    counts: Mapping[Any, int], target: Mapping[Any, Any]
 ) -> ComparisonReport:
     """Check empirical counts against a target distribution, cell by cell.
 
-    Each cell's empirical frequency must lie within ``sigma_factor`` normal
-    standard deviations, sigma = sqrt(p(1-p)/n), of the target probability
-    ``p``.  Cells are the union of both key sets (missing counts are zero).
-    The total count must be at least 100 for the normal approximation.
+    Cells are the union of both key sets (missing counts are zero), lined
+    up in ``str`` order, and each must pass :func:`sigma_band`.  The worst
+    cell is the first largest error in that order.  The total count must
+    be at least 100 for the normal approximation.
     """
     total = sum(int(c) for c in counts.values())
     if any(int(c) < 0 for c in counts.values()):
@@ -144,31 +160,20 @@ def statistical_match(
             f"need at least {MIN_SAMPLES} samples for the normal "
             f"approximation, got {total}"
         )
-    keys = set(counts) | set(target)
-    freq = {k: counts.get(k, 0) / total for k in keys}
-    probs = {k: float(target.get(k, 0.0)) for k in keys}
-    worst_key, worst_err, failing = None, -1.0, 0
-    for k in sorted(keys, key=str):
-        p = probs[k]
-        sigma = math.sqrt(max(p * (1.0 - p), 0.0) / total)
-        err = abs(freq[k] - p)
-        if err > sigma_factor * sigma:
-            failing += 1
-        if err > worst_err or worst_key is None:
-            worst_key, worst_err = k, err
-    worst = (
-        _render_cell(worst_key)
-        if isinstance(worst_key, tuple) and len(worst_key) == 2
-        and isinstance(worst_key[0], tuple)
-        else str(worst_key)
+    keys = sorted(set(counts) | set(target), key=str)
+    probs = np.array([float(target.get(k, 0.0)) for k in keys])
+    freq, _, passed = sigma_band(
+        np.array([int(counts.get(k, 0)) for k in keys]), total, probs
     )
+    err = np.abs(freq - probs)
+    i = int(np.argmax(err))
     return ComparisonReport(
         mode="statistical",
-        passed=failing == 0,
-        max_abs_error=worst_err,
-        worst_cell=worst,
-        tv_distance=tv_distance(freq, probs),
-        failing_cells=failing,
+        passed=bool(passed.all()),
+        max_abs_error=float(err[i]),
+        worst_cell=str(keys[i]),
+        tv_distance=0.5 * math.fsum(err.tolist()),
+        failing_cells=int(np.count_nonzero(~passed)),
         n_samples=total,
-        sigma_bound=sigma_factor,
+        sigma_bound=SIGMA_FACTOR,
     )

@@ -149,9 +149,9 @@ def test_criterion_8_dimension_model_statistics(acceptance_log):
                 100_000,
                 np.random.default_rng(840_000 + d),
             )
-            assert report.q_passed, f"d={d}: firing rate off"
-            assert all(c.passed for c in report.bob_marginal), f"d={d}"
-            assert all(c.passed for c in report.cells), f"d={d}"
+            assert report.q[2], f"d={d}: firing rate off"
+            assert report.bob[2].all(), f"d={d}"
+            assert report.joint[2].all(), f"d={d}"
             assert report.eta_above_bound, f"d={d}"
             assert report.passed, f"d={d}"
 

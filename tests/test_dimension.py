@@ -1,6 +1,7 @@
 """Dimension-dependent approximate model: parameters, the vectorized Monte
 Carlo report against the model's closed-form table, and the chunked run."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -56,12 +57,12 @@ def _closed_form_table(d, delta, x_povm, y_povm):
     xs, ys = refine_to_rank_one(x_povm), refine_to_rank_one(y_povm)
     s = math.sin(delta) ** 2
     table = {}
-    for x in xs:
-        for y in ys:
-            g = abs(np.sum(x.direction * y.direction)) ** 2
-            key = (x.parent_label, y.parent_label)
+    for wx, x, a in zip(*xs):
+        for wy, y, b in zip(*ys):
+            g = abs(np.sum(x * y)) ** 2
+            key = (int(a), int(b))
             table[key] = table.get(key, 0.0) + (
-                x.weight * y.weight / d * (g + s / d * (1 - d * g))
+                wx * wy / d * (g + s / d * (1 - d * g))
             )
     return table
 
@@ -86,36 +87,38 @@ def test_monte_carlo_matches_closed_form_table(d, delta, povms, samples, seed):
         assert report.n_fired == samples
     exact = _closed_form_table(d, delta, x_povm, y_povm)
     assert sum(exact.values()) == pytest.approx(1.0, abs=1e-12)
-    assert len(report.cells) == len(exact)
+    assert report.joint_counts.size == len(exact)
     n = report.n_fired
-    for c in report.cells:
-        p = exact[(c.outcome_a, c.outcome_b)]
-        z = (c.empirical - p) / math.sqrt(p * (1 - p) / n)
-        assert abs(z) <= 4.5, (c.outcome_a, c.outcome_b, c.empirical, p, z)
+    for (i, a), (j, b) in itertools.product(
+        enumerate(report.parents_x.tolist()), enumerate(report.parents_y.tolist())
+    ):
+        p, f = exact[(a, b)], report.joint_counts[i, j] / n
+        z = (f - p) / math.sqrt(p * (1 - p) / n)
+        assert abs(z) <= 4.5, (a, b, f, p, z)
 
 
 def test_monte_carlo_report_passes_for_qubits(rng):
     povm = computational_povm(2)
     report = run_dimension_model(2, math.pi / 6, povm, povm, 30_000, rng)
     assert report.passed
-    assert report.q_passed and report.eta_above_bound
-    assert abs(report.q_hat - 0.25) < 3 * report.q_sigma
-    assert report.eta == pytest.approx(0.4)
-    assert len(report.cells) == 4
-    assert {c.passed for c in report.cells} == {True}
-    for check in report.bob_marginal:
-        assert check.target == pytest.approx(0.5)
-        assert check.passed
+    q_hat, q_sigma, q_passed = report.q
+    assert q_passed and report.eta_above_bound
+    assert abs(q_hat - 0.25) < 3 * q_sigma
+    assert report.params.eta == pytest.approx(0.4)
+    assert report.joint[2].shape == (2, 2) and report.joint[2].all()
+    np.testing.assert_allclose(report.bob_target, 0.5)
+    assert report.bob[2].all()
     # diagnostic-only conditional marginal: entries but no verdicts
-    assert len(report.bob_marginal_given_fire) == 2
+    given_fire = report.to_dict()["bob_marginal_given_fire"]
+    assert len(given_fire) == 2 and not any("pass" in e for e in given_fire)
 
 
 def test_monte_carlo_with_refined_random_povms(rng):
     x_povm = random_povm(3, 4, rng)
     y_povm = random_povm(3, 4, rng)
     report = run_dimension_model(3, math.pi / 4, x_povm, y_povm, 40_000, rng)
-    assert report.passed, [c.to_dict() for c in report.cells if not c.passed]
-    assert len(report.cells) == 16
+    assert report.passed, [c for c in report.to_dict()["cells"] if not c["pass"]]
+    assert report.joint_counts.shape == (4, 4)
     assert report.n_fired > 0
 
 
@@ -127,8 +130,9 @@ def test_monte_carlo_is_seed_reproducible():
     b = run_dimension_model(
         2, 0.7, povm, povm, 5_000, np.random.default_rng(99)
     )
-    assert a.q_hat == b.q_hat
-    assert [c.empirical for c in a.cells] == [c.empirical for c in b.cells]
+    assert a.n_fired == b.n_fired
+    np.testing.assert_array_equal(a.joint_counts, b.joint_counts)
+    np.testing.assert_array_equal(a.bob_counts, b.bob_counts)
 
 
 def test_monte_carlo_rejects_dimension_mismatch(rng):
@@ -155,12 +159,12 @@ def _one_batch_counts(d, delta, x_povm, y_povm, samples, rng):
     draws (rows: Alice's parent outcomes, columns: Bob's) and Bob's
     unconditional coarse counts."""
     def arrays(povm):
-        elements = refine_to_rank_one(povm)
-        parents = list(dict.fromkeys(e.parent_label for e in elements))
+        weights, directions, labels = refine_to_rank_one(povm)
+        parents = list(dict.fromkeys(labels.tolist()))
         return (
-            np.array([e.weight for e in elements]),
-            np.stack([e.direction for e in elements]),
-            np.array([parents.index(e.parent_label) for e in elements]),
+            weights,
+            directions,
+            np.array([parents.index(lab) for lab in labels.tolist()]),
             len(parents),
         )
 
@@ -205,8 +209,8 @@ def test_chunked_run_consumes_the_one_batch_stream(d, delta, povms):
         n_a, n_b = _RANDOM_OUTCOMES[povms]
         povm_rng = np.random.default_rng(3)
         x_povm, y_povm = random_povm(d, n_a, povm_rng), random_povm(d, n_b, povm_rng)
-        assert len(refine_to_rank_one(x_povm)) > d
-        assert len(refine_to_rank_one(y_povm)) > d
+        assert len(refine_to_rank_one(x_povm)[0]) > d
+        assert len(refine_to_rank_one(y_povm)[0]) > d
     else:
         x_povm = y_povm = computational_povm(d)
     rng, ref_rng = np.random.default_rng(77), np.random.default_rng(77)
@@ -215,10 +219,8 @@ def test_chunked_run_consumes_the_one_batch_stream(d, delta, povms):
         d, delta, x_povm, y_povm, samples, ref_rng
     )
     assert report.n_fired == n_fired
-    got_joint = [round(c.empirical * n_fired) for c in report.cells]
-    assert got_joint == joint.ravel().tolist()
-    got_bob = [round(c.empirical * samples) for c in report.bob_marginal]
-    assert got_bob == bob.tolist()
+    np.testing.assert_array_equal(report.joint_counts, joint)
+    np.testing.assert_array_equal(report.bob_counts, bob)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 

@@ -24,7 +24,6 @@ from lhvmodels.quantum import (
     Povm,
     QuantumState,
     Scenario,
-    conjugate_in_schmidt_basis,
     extend_with_inefficiency,
     format_outcome,
     ghz_state,
@@ -139,15 +138,13 @@ def test_haar_overlap_moments(rng):
 
 
 def test_conjugate_in_schmidt_basis(rng):
-    v = np.array([1.0, 1.0j]) / math.sqrt(2)
-    np.testing.assert_allclose(
-        conjugate_in_schmidt_basis(v), np.array([1.0, -1.0j]) / math.sqrt(2)
-    )
-    # projecting |Phi> onto phi (x) phi* gives probability 1/d for any phi
+    # projecting |Phi> onto phi (x) phi* gives probability 1/d for any phi,
+    # with phi* the entrywise conjugate in the computational basis
     d = 5
     phi = haar_random_state(d, rng)
     psi = maximally_entangled(d).data.reshape(d, d)
-    amp = np.einsum("i,j,ij->", phi.conj(), conjugate_in_schmidt_basis(phi).conj(), psi)
+    phi_star = np.conj(phi)
+    amp = np.einsum("i,j,ij->", phi.conj(), phi_star.conj(), psi)
     assert abs(abs(amp) ** 2 - 1 / d) < TOL
 
 
@@ -193,24 +190,24 @@ def test_projective_povm_elements():
 
 def test_refine_to_rank_one_reconstructs(rng):
     povm = random_povm(3, 4, rng)
-    pieces = refine_to_rank_one(povm)
-    total_weight = 0.0
+    weights, directions, parents = refine_to_rank_one(povm)
+    assert directions.flags.c_contiguous and directions.shape == (len(weights), 3)
+    assert parents.tolist() == sorted(parents.tolist())
     for label, element in enumerate(povm.elements):
-        rebuilt = sum(
-            p.weight * np.outer(p.direction, p.direction.conj())
-            for p in pieces
-            if p.parent_label == label
+        mine = parents == label
+        rebuilt = np.einsum(
+            "k,ki,kj->ij", weights[mine], directions[mine], directions[mine].conj()
         )
         np.testing.assert_allclose(rebuilt, element, atol=1e-10)
-    total_weight = sum(p.weight for p in pieces)
-    assert abs(total_weight - 3.0) < 1e-10  # sum of traces = dim
+    assert abs(weights.sum() - 3.0) < 1e-10  # sum of traces = dim
 
 
 def test_refine_drops_null_directions():
     povm = projective_povm([[1, 0], [0, 1]])
-    pieces = refine_to_rank_one(povm)
-    assert len(pieces) == 2
-    assert all(abs(p.weight - 1.0) < TOL for p in pieces)
+    weights, directions, parents = refine_to_rank_one(povm)
+    assert parents.tolist() == [0, 1]
+    np.testing.assert_allclose(weights, 1.0, atol=TOL)
+    np.testing.assert_allclose(np.abs(directions), np.eye(2), atol=TOL)
 
 
 # ---------------------------------------------------------------------------

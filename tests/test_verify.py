@@ -5,6 +5,7 @@ import pytest
 
 from lhvmodels.errors import DomainError, StructuralError
 from lhvmodels.quantum import OutcomeDistribution
+from lhvmodels import verify
 from lhvmodels.verify import compare_float, statistical_match, tv_distance
 
 
@@ -79,10 +80,28 @@ def test_statistical_match_needs_enough_samples():
         statistical_match({(0,): 10, (1,): 12}, {(0,): 0.5, (1,): 0.5})
 
 
-def test_statistical_match_sigma_factor():
+def test_statistical_match_sigma_factor(monkeypatch):
     # ~2.4 sigma away: fails at 2, passes at 3
     n, k = 10_000, 5_120
     counts = {(0,): k, (1,): n - k}
     target = {(0,): 0.5, (1,): 0.5}
-    assert statistical_match(counts, target, sigma_factor=3.0).passed
-    assert not statistical_match(counts, target, sigma_factor=2.0).passed
+    assert statistical_match(counts, target).passed
+    monkeypatch.setattr(verify, "SIGMA_FACTOR", 2.0)
+    report = statistical_match(counts, target)
+    assert not report.passed and report.sigma_bound == 2.0
+
+
+@pytest.mark.parametrize("slack", [0.0, 2.0**-7])
+def test_sigma_band_edge(slack):
+    # p = 1/2 at n = 2^16 makes sigma = 2^-9 exact, so an error of exactly
+    # slack + 3 sigma is a float on either side of p: it passes, and the
+    # next float outward fails (counts scaled by the power of two n are
+    # exact, so the frequencies are the ones written here)
+    n, p = 2**16, 0.5
+    edge = slack + verify.SIGMA_FACTOR * 2.0**-9
+    freq = np.array([p + edge, p - edge])
+    freq = np.concatenate([freq, np.nextafter(freq, [1.0, 0.0])])
+    got, sigma, passed = verify.sigma_band(freq * n, n, p, slack)
+    np.testing.assert_array_equal(got, freq)
+    assert (sigma == 2.0**-9).all()
+    assert passed.tolist() == [True, True, False, False]
