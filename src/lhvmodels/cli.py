@@ -56,7 +56,6 @@ import json
 import math
 import os
 import sys
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring
@@ -611,10 +610,11 @@ def _cmd_two_party_verify(args) -> int:
         rng = np.random.default_rng(seed)
         checks = {}
         for choice in model_dist.settings_choices():
-            counts: Counter = Counter()
+            target = model_dist.block(choice)
+            counts = np.zeros(target.shape, dtype=np.int64)
             for c in chunk_sizes(args.samples):
-                counts.update(model.tabulate(model.sample_many(choice, c, rng)))
-            stat = statistical_match(counts, model_dist.block(choice))
+                counts += model.tabulate(model.sample_many(choice, c, rng))
+            stat = statistical_match(counts, target, model_dist.alphabets)
             checks[_settings_key(choice)] = stat.to_dict()
             passed = passed and stat.passed
         body["sampling"] = {

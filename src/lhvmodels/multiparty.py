@@ -688,11 +688,15 @@ class MultipartyModel:
 
     def sample_many(
         self, settings: tuple[int, ...], n_draws: int, rng: np.random.Generator
-    ) -> dict[tuple[Any, ...], int]:
-        """Count ``n_draws`` independent draws at one settings choice."""
-        counts: dict[tuple[Any, ...], int] = {}
+    ) -> np.ndarray:
+        """Count ``n_draws`` draws of :meth:`sample` at one settings choice
+        into an int64 array laid out as a block of :meth:`exact_distribution`
+        (silent outcome last); ``n_draws < 0`` raises before any draw."""
+        if n_draws < 0:
+            raise DomainError(f"need n_draws >= 0, got n_draws={n_draws}")
+        counts = np.zeros([len(a) + 1 for a in self._alphabets], dtype=np.int64)
         for _ in range(int(n_draws)):
             o = self.sample(settings, rng)
-            counts[o] = counts.get(o, 0) + 1
+            # labels are positions; -1 counts the silent outcome last
+            counts[tuple(-1 if x is NO_CLICK else x for x in o)] += 1
         return counts
-

@@ -346,11 +346,17 @@ def validate_povm(p: Povm) -> PovmValidationReport:
     well posed for them.
     """
     d = _check_square_common(p.elements)
+    lowest = [np.linalg.eigvalsh((e + e.conj().T) / 2.0).min() for e in p.elements]
+    return _povm_report(p, d, lowest)
+
+
+def _povm_report(p: Povm, d: int, lowest: Sequence[float]) -> PovmValidationReport:
+    """:func:`validate_povm`'s report, given the smallest eigenvalue of
+    each element's Hermitian part."""
     pos_dev = 0.0
-    for e in p.elements:
+    for e, low in zip(p.elements, lowest):
         herm = float(np.max(np.abs(e - e.conj().T)))
-        low = -float(np.linalg.eigvalsh((e + e.conj().T) / 2.0).min())
-        pos_dev = max(pos_dev, herm, low)
+        pos_dev = max(pos_dev, herm, -float(low))
     total = sum(p.elements)
     comp_dev = float(np.max(np.abs(total - np.eye(d))))
     if pos_dev > POVM_TOL:
@@ -371,23 +377,26 @@ def refine_to_rank_one(p: Povm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     eigenvalue order, one per eigenvalue above ``1e-12`` (null directions
     carry no probability and are dropped); the sum of the reconstructed
     matrices reproduces the original element, and the weights sum to d
-    within :data:`WEIGHT_SUM_TOL`.
+    within :data:`WEIGHT_SUM_TOL`.  The POVM is validated as by
+    :func:`validate_povm`, its positivity taken from the same
+    eigendecompositions.
     """
-    report = validate_povm(p)
+    d = _check_square_common(p.elements)
+    weights, directions, parents, lowest = [], [], [], []
+    for label, e in enumerate(p.elements):
+        w, vecs = np.linalg.eigh((e + e.conj().T) / 2.0)
+        lowest.append(w.min())
+        keep = w > RANK_ONE_CUTOFF
+        weights.append(w[keep])
+        directions.append(vecs[:, keep].T)
+        parents.append(np.full(int(keep.sum()), label))
+    report = _povm_report(p, d, lowest)
     if not report.ok:
         raise InvariantViolation(
             f"cannot refine invalid POVM ({report.failed_invariant} violated "
             f"by {report.worst_deviation:.3e})"
         )
-    weights, directions, parents = [], [], []
-    for label, e in enumerate(p.elements):
-        w, vecs = np.linalg.eigh((e + e.conj().T) / 2.0)
-        keep = w > RANK_ONE_CUTOFF
-        weights.append(w[keep])
-        directions.append(vecs[:, keep].T)
-        parents.append(np.full(int(keep.sum()), label))
     weights = np.concatenate(weights)
-    d = p.elements[0].shape[0]
     if abs(weights.sum() - d) > WEIGHT_SUM_TOL:
         raise InvariantViolation(
             f"rank-one weights sum to {weights.sum()!r}, expected the "
@@ -614,7 +623,8 @@ class OutcomeDistribution:
     ``probs`` has shape ``(M_1, ..., M_N, A_1, ..., A_N)``, so ``probs[s]``
     is the block at settings choice ``s``; ``alphabets[p]`` labels party
     ``p``'s outcome axis, with :data:`NO_CLICK` last where present.  Labels
-    are used only at I/O (:meth:`block`, :attr:`table`).  Every input is
+    are used only at I/O (:attr:`table`, report rendering); :meth:`block`
+    is one settings block of ``probs``.  Every input is
     stored read-only as float64, and each block must sum to 1 within
     ``1e-12``.  A shape that does not match the alphabets raises
     :class:`StructuralError`; an entry outside [0, 1] or a block that does
@@ -664,15 +674,13 @@ class OutcomeDistribution:
         shape = self.probs.shape[: self.n_parties]
         return list(itertools.product(*(range(m) for m in shape)))
 
-    def block(self, settings: Sequence[int]) -> dict[tuple[Any, ...], float]:
-        """The outcome distribution at one settings choice, keyed by
-        outcome-label tuples in C order."""
+    def block(self, settings: Sequence[int]) -> np.ndarray:
+        """The read-only outcome array ``probs[s]`` at one settings choice."""
         s = tuple(int(x) for x in settings)
         shape = self.probs.shape[: self.n_parties]
         if len(s) != len(shape) or not all(0 <= x < m for x, m in zip(s, shape)):
             raise DomainError(f"no entries for settings {tuple(settings)}")
-        block = self.probs[s].reshape(-1)
-        return dict(zip(itertools.product(*self.alphabets), block.tolist()))
+        return self.probs[s]
 
     @property
     def table(self) -> dict[tuple[tuple[int, ...], tuple[Any, ...]], float]:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -327,13 +327,11 @@ class TwoPartyModel:
             out[i, 1 - guesser] = np.minimum(resp, cond.shape[-1] - 1)
         return out
 
-    def tabulate(self, samples: np.ndarray) -> dict[tuple[Any, Any], int]:
-        """Count an ``(n, 2)`` sample array into an outcome-pair table.
-
-        Pairs are counted by their flat code (a+1)*(n_b+1) + (b+1), so the
-        silent code -1 sorts first and the keys come in ascending
-        (a, b) code order; outcome pairs that never occur are left out.
-        """
+    def tabulate(self, samples: np.ndarray) -> np.ndarray:
+        """Count an ``(n, 2)`` sample array into an int64 ``(n_a+1, n_b+1)``
+        array laid out as a block of :meth:`exact_distribution`: outcome
+        positions along each axis, with the silent code -1 counted in the
+        last position."""
         samples = np.asarray(samples, dtype=np.int64)
         if samples.size and (
             samples.min() < -1
@@ -346,10 +344,5 @@ class TwoPartyModel:
             (samples[:, 0] + 1) * width + (samples[:, 1] + 1),
             minlength=(self.n_a + 1) * width,
         )
-        labels_a = (NO_CLICK,) + self._alphabet_a
-        labels_b = (NO_CLICK,) + self._alphabet_b
-        return {
-            (labels_a[code // width], labels_b[code % width]): int(counts[code])
-            for code in np.flatnonzero(counts)
-        }
-
+        # the codes count the silent -1 first on each axis; roll it last
+        return np.roll(counts.reshape(-1, width), -1, axis=(0, 1))

@@ -4,8 +4,11 @@ Two comparison modes, each producing a :class:`ComparisonReport`:
 
 * :func:`compare_float` — entrywise tolerance comparison of two outcome
   tables (float64 arrays over the same cells);
-* :func:`statistical_match` — empirical counts against a target
-  distribution, with a per-cell three-sigma normal-approximation criterion.
+* :func:`statistical_match` — empirical counts against a target block,
+  two arrays of the same shape, with a per-cell three-sigma
+  normal-approximation criterion.
+
+Outcome labels are used only to name the worst cell.
 
 The statistical criterion is one array routine, :func:`sigma_band`, which
 the dimension model's checks call too.  It deliberately applies no
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -37,8 +40,9 @@ MIN_SAMPLES = 100
 class ComparisonReport:
     """Result of one comparison.
 
-    ``worst_cell`` names the cell with the largest deviation (rendered as a
-    string; of tied table cells, the first in C order); ``tv_distance`` is
+    ``worst_cell`` names the cell with the largest deviation, the first of
+    tied cells in C order (``"settings=(0,1) outcomes=(0,∅)"`` for a float
+    comparison, ``"(0, ∅)"`` for a statistical one); ``tv_distance`` is
     the total-variation distance — for tables with several settings
     blocks, the worst block's distance.  ``mode`` is ``"float"`` or
     ``"statistical"``.  ``passed`` holds iff the mode's criterion (the
@@ -111,19 +115,6 @@ def compare_float(
     )
 
 
-def tv_distance(p: Mapping[Any, Any], q: Mapping[Any, Any]) -> float:
-    """Total-variation distance between two probability mappings.
-
-    Symmetric, in [0, 1], and zero iff the distributions agree on every
-    cell of either support.
-    """
-    keys = set(p) | set(q)
-    # fsum rounds once, so the result does not depend on the set's order
-    return 0.5 * math.fsum(
-        abs(float(p.get(k, 0.0)) - float(q.get(k, 0.0))) for k in keys
-    )
-
-
 def sigma_band(
     counts: Any, total: Any, target: Any, slack: Any = 0.0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -141,38 +132,42 @@ def sigma_band(
 
 
 def statistical_match(
-    counts: Mapping[Any, int], target: Mapping[Any, Any]
+    counts: Any, target: Any, alphabets: Sequence[Sequence[Any]]
 ) -> ComparisonReport:
-    """Check empirical counts against a target distribution, cell by cell.
+    """Check an array of counts against a target array, cell by cell.
 
-    Cells are the union of both key sets (missing counts are zero), lined
-    up in ``str`` order, and each must pass :func:`sigma_band`.  The worst
-    cell is the first largest error in that order.  The total count must
-    be at least 100 for the normal approximation.
+    Each cell must pass :func:`sigma_band`.  ``alphabets[p]`` labels axis
+    ``p``; it only names the worst cell, the first largest error in C
+    order, as ``str(tuple(labels))``.  Shapes that differ raise
+    :class:`StructuralError`; negative counts, or a total below
+    :data:`MIN_SAMPLES` (the normal approximation), :class:`DomainError`.
     """
-    total = sum(int(c) for c in counts.values())
-    if any(int(c) < 0 for c in counts.values()):
+    counts = np.asarray(counts)
+    probs = np.asarray(target, dtype=np.float64)
+    sizes = tuple(len(a) for a in alphabets)
+    if not counts.shape == probs.shape == sizes:
+        raise StructuralError(
+            f"counts of shape {counts.shape}, target of shape {probs.shape}, "
+            f"alphabets of sizes {sizes}"
+        )
+    if (counts < 0).any():
         raise DomainError("negative count")
-    if total == 0:
-        raise DomainError("cannot match statistics with zero total count")
+    total = int(counts.sum())
     if total < MIN_SAMPLES:
         raise DomainError(
             f"need at least {MIN_SAMPLES} samples for the normal "
             f"approximation, got {total}"
         )
-    keys = sorted(set(counts) | set(target), key=str)
-    probs = np.array([float(target.get(k, 0.0)) for k in keys])
-    freq, _, passed = sigma_band(
-        np.array([int(counts.get(k, 0)) for k in keys]), total, probs
-    )
+    freq, _, passed = sigma_band(counts, total, probs)
     err = np.abs(freq - probs)
     i = int(np.argmax(err))
+    labels = tuple(a[j] for a, j in zip(alphabets, np.unravel_index(i, err.shape)))
     return ComparisonReport(
         mode="statistical",
         passed=bool(passed.all()),
-        max_abs_error=float(err[i]),
-        worst_cell=str(keys[i]),
-        tv_distance=0.5 * math.fsum(err.tolist()),
+        max_abs_error=float(err.flat[i]),
+        worst_cell=str(labels),
+        tv_distance=0.5 * math.fsum(err.ravel().tolist()),
         failing_cells=int(np.count_nonzero(~passed)),
         n_samples=total,
         sigma_bound=SIGMA_FACTOR,

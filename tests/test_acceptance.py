@@ -79,9 +79,8 @@ def test_criterion_3_sampler_statistics(acceptance_log, chsh):
         model = TwoPartyModel(chsh)
         rng = np.random.default_rng(20_260_823)
         counts = model.tabulate(model.sample_many((0, 0), 1_000_000, rng))
-        report = statistical_match(
-            counts, model.exact_distribution().block((0, 0))
-        )
+        exact = model.exact_distribution()
+        report = statistical_match(counts, exact.block((0, 0)), exact.alphabets)
         assert report.passed, report.worst_cell
 
 

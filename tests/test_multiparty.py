@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
+import numpy as np
 import pytest
 
 from lhvmodels import quantum as quantum_module
@@ -402,7 +403,7 @@ def test_ghz_model_conditional_recovers_quantum(ghz3):
 
 def test_ghz_model_all_silent_probability(ghz3):
     dist = MultipartyModel(ghz3).exact_distribution()
-    corner = dist.block((0, 0, 0))[(NO_CLICK,) * 3]
+    corner = dist.block((0, 0, 0))[-1, -1, -1]
     assert corner == pytest.approx(0.4**3, abs=1e-14)
 
 
@@ -441,6 +442,32 @@ def test_model_size_guard(monkeypatch):
 def test_multiparty_sampler_matches_exact(ghz3, rng):
     model = MultipartyModel(ghz3)
     counts = model.sample_many((0, 1, 1), 20_000, rng)
-    block = model.exact_distribution().block((0, 1, 1))
-    report = statistical_match(counts, block)
+    exact = model.exact_distribution()
+    report = statistical_match(counts, exact.block((0, 1, 1)), exact.alphabets)
     assert report.passed, report.worst_cell
+
+
+def test_multiparty_sample_many_counts_the_seeded_draws(ghz3):
+    model = MultipartyModel(ghz3)
+    counts = model.sample_many((0, 1, 1), 300, np.random.default_rng(4))
+    # the same draws one by one, each outcome counted at its position in
+    # the block, the silent outcome last
+    rng = np.random.default_rng(4)
+    expected = np.zeros((3, 3, 3), dtype=np.int64)
+    for _ in range(300):
+        draw = model.sample((0, 1, 1), rng)
+        expected[tuple(2 if o is NO_CLICK else o for o in draw)] += 1
+    assert counts.dtype == np.int64
+    np.testing.assert_array_equal(counts, expected)
+    assert counts[-1, -1, -1] > 0
+    empty = model.sample_many((0, 1, 1), 0, rng)
+    assert empty.shape == (3, 3, 3) and not empty.any()
+
+
+def test_multiparty_sample_many_rejects_negative_draws_before_drawing(ghz3):
+    model = MultipartyModel(ghz3)
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(DomainError, match="n_draws=-1"):
+        model.sample_many((0, 0, 0), -1, rng)
+    assert rng.bit_generator.state == state

@@ -202,6 +202,31 @@ def test_refine_to_rank_one_reconstructs(rng):
     assert abs(weights.sum() - 3.0) < 1e-10  # sum of traces = dim
 
 
+def test_refine_decomposes_each_element_once(monkeypatch, rng):
+    povm = random_povm(3, 4, rng)
+    # one eigh per element, the pieces above the cutoff in its order
+    want = [[], [], []]
+    for label, e in enumerate(povm.elements):
+        w, vecs = np.linalg.eigh((e + e.conj().T) / 2.0)
+        keep = w > 1e-12
+        for part, piece in zip(want, (w[keep], vecs[:, keep].T, [label] * keep.sum())):
+            part.append(piece)
+    want = [np.concatenate(part) for part in want]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a second decomposition by eigvalsh")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    got = refine_to_rank_one(povm)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    # the validation still runs, on refinement's own eigenvalues
+    with pytest.raises(InvariantViolation, match="positivity"):
+        refine_to_rank_one(Povm((np.diag([1.5, 0.0]), np.diag([-0.5, 1.0]))))
+    with pytest.raises(InvariantViolation, match="completeness"):
+        refine_to_rank_one(Povm((np.eye(2), np.eye(2))))
+
+
 def test_refine_drops_null_directions():
     povm = projective_povm([[1, 0], [0, 1]])
     weights, directions, parents = refine_to_rank_one(povm)
@@ -264,23 +289,18 @@ def test_subset_table_is_maximally_mixed_marginal():
 
 def test_no_signalling_in_random_scenario(random23):
     dist = quantum_distribution(random23)
-    marg = {}
-    for (x, y) in dist.settings_choices():
-        block = dist.block((x, y))
-        for (a, _b), p in block.items():
-            marg.setdefault((x, y), {}).setdefault(a, 0.0)
-            marg[(x, y)][a] += p
+    # Alice's marginal at each settings pair, summed over Bob's outcomes
+    marg = {c: dist.block(c).sum(axis=1) for c in dist.settings_choices()}
     for x in range(2):
         base = marg[(x, 0)]
         for y in (1, 2):
-            for a, p in marg[(x, y)].items():
-                assert abs(p - base[a]) < 1e-10
+            assert np.all(np.abs(marg[(x, y)] - base) < 1e-10)
 
 
 def test_distribution_blocks_sum_to_one(chsh):
     dist = quantum_distribution(chsh)
     for choice in dist.settings_choices():
-        assert abs(sum(dist.block(choice).values()) - 1.0) < TOL
+        assert abs(dist.block(choice).sum() - 1.0) < TOL
 
 
 def _marginal_slices(scenario):
@@ -354,25 +374,24 @@ def test_extend_at_unit_efficiency_changes_nothing(chsh):
     extended = extend_with_inefficiency(dist, 1.0)
     assert extended.includes_no_click()
     for choice in dist.settings_choices():
-        original = dist.block(choice)
-        for outcomes, p in extended.block(choice).items():
-            if NO_CLICK in outcomes:
-                assert abs(p) < TOL
-            else:
-                assert abs(p - original[outcomes]) < TOL
+        block = extended.block(choice)
+        # the silent outcome is last on each axis
+        assert np.all(np.abs(block[-1, :]) < TOL)
+        assert np.all(np.abs(block[:, -1]) < TOL)
+        assert np.all(np.abs(block[:-1, :-1] - dist.block(choice)) < TOL)
 
 
 def test_extend_no_click_corner():
     dist = quantum_distribution(_comp_scenario())
     extended = extend_with_inefficiency(dist, 0.5)
-    assert abs(extended.block((0, 0))[(NO_CLICK, NO_CLICK)] - 0.25) < TOL
+    assert abs(extended.block((0, 0))[-1, -1] - 0.25) < TOL
 
 
 def test_extend_single_no_click_cell():
     dist = quantum_distribution(_comp_scenario())
     extended = extend_with_inefficiency(dist, 2 / 3)
     # eta (1 - eta) P(a=0) = (2/3)(1/3)(1/2)
-    assert abs(extended.block((0, 0))[(0, NO_CLICK)] - 1 / 9) < TOL
+    assert abs(extended.block((0, 0))[0, -1] - 1 / 9) < TOL
 
 
 def test_conditioning_recovers_quantum_block(chsh):
@@ -409,7 +428,10 @@ def test_distribution_checks_shape_range_and_settings():
     assert dist.n_parties == 2 and dist.probs.dtype == np.float64
     assert len(dist.table) == 2 * 4 * 2 * 3
     assert dist.settings_choices() == list(itertools.product(range(2), range(4)))
-    assert list(dist.block((1, 3))) == list(itertools.product(*alphabets))
+    block = dist.block((1, 3))
+    assert block.shape == (2, 3) and not block.flags.writeable
+    assert np.shares_memory(block, dist.probs)
+    np.testing.assert_array_equal(block, dist.probs[1, 3])
     for bad in ((2, 0), (0, 4), (0, -1), (0,), (0, 0, 0)):
         with pytest.raises(DomainError):
             dist.block(bad)
@@ -440,7 +462,8 @@ def _reference_extend(dist, eta):
     n = dist.n_parties
     table = {}
     for settings in dist.settings_choices():
-        block = dist.block(settings)
+        cells = itertools.product(*dist.alphabets)
+        block = dict(zip(cells, dist.block(settings).ravel().tolist()))
         for silent in itertools.product((False, True), repeat=n):
             k = sum(silent)
             factor = eta ** (n - k) * (1.0 - eta) ** k
@@ -491,8 +514,7 @@ def test_scenario_json_round_trip(chsh, random23):
         before = quantum_distribution(scenario)
         after = quantum_distribution(rebuilt)
         for choice in before.settings_choices():
-            for outcomes, p in before.block(choice).items():
-                assert abs(p - after.block(choice)[outcomes]) < TOL
+            assert np.all(np.abs(before.block(choice) - after.block(choice)) < TOL)
 
 
 def test_scenario_json_rejects_junk():

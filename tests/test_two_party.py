@@ -10,7 +10,6 @@ from lhvmodels.errors import DomainError, SizeGuardExceeded
 from lhvmodels.presets import random_two_party_scenario
 from lhvmodels.quantum import (
     CHUNK,
-    NO_CLICK,
     extend_with_inefficiency,
     joint_outcome_table,
     quantum_distribution,
@@ -106,9 +105,9 @@ def test_response_functions_are_distributions(chsh):
 def test_no_click_rate_matches_efficiency(chsh):
     dist = TwoPartyModel(chsh).exact_distribution()
     block = dist.block((0, 0))
-    alice_silent = sum(p for (a, _b), p in block.items() if a is NO_CLICK)
+    alice_silent = block[-1].sum()  # the silent outcome is last
     assert alice_silent == pytest.approx(1 / 3, abs=1e-12)
-    both_silent = block[(NO_CLICK, NO_CLICK)]
+    both_silent = block[-1, -1]
     assert both_silent == pytest.approx(1 / 9, abs=1e-12)
 
 
@@ -126,7 +125,7 @@ def test_sampler_matches_exact_distribution(chsh, rng):
     exact = model.exact_distribution()
     for choice in ((0, 0), (1, 1)):
         counts = model.tabulate(model.sample_many(choice, 60_000, rng))
-        report = statistical_match(counts, exact.block(choice))
+        report = statistical_match(counts, exact.block(choice), exact.alphabets)
         assert report.passed, (choice, report.worst_cell)
 
 
@@ -135,21 +134,19 @@ def test_tabulate_matches_counter_reference(random23, rng):
     # outcome 1 of each party never occurs; -1 is the silent code
     samples = rng.choice([-1, 0, 2], size=(5_000, 2))
     samples[:3] = [[-1, -1], [2, -1], [-1, 0]]
-    labels_a = model.scenario.alphabet(0)
-    labels_b = model.scenario.alphabet(1)
-    expected = {
-        (
-            NO_CLICK if a < 0 else labels_a[a],
-            NO_CLICK if b < 0 else labels_b[b],
-        ): n
-        for (a, b), n in sorted(Counter(map(tuple, samples.tolist())).items())
-    }
+    # the Counter's pairs laid out as a block: -1 indexes the last position
+    expected = np.zeros((model.n_a + 1, model.n_b + 1), dtype=np.int64)
+    for (a, b), n in Counter(map(tuple, samples.tolist())).items():
+        expected[a, b] = n
     counts = model.tabulate(samples)
-    assert list(counts.items()) == list(expected.items())
-    assert all(type(n) is int for n in counts.values())
-    assert model.tabulate(np.empty((0, 2), dtype=np.int64)) == {}
-    with pytest.raises(DomainError):
-        model.tabulate(np.array([[0, 3]]))
+    assert counts.dtype == np.int64
+    np.testing.assert_array_equal(counts, expected)
+    assert counts[-1, -1] and not counts[1].any() and not counts[:, 1].any()
+    empty = model.tabulate(np.empty((0, 2), dtype=np.int64))
+    assert empty.shape == expected.shape and not empty.any()
+    for bad in ([[0, 3]], [[3, 0]], [[-2, 0]]):
+        with pytest.raises(DomainError):
+            model.tabulate(np.array(bad))
 
 
 def test_sampler_rejects_bad_arguments_before_drawing(chsh):
@@ -169,7 +166,7 @@ def test_sampler_matches_on_random_scenario(random23, rng):
     model = TwoPartyModel(random23)
     exact = model.exact_distribution()
     counts = model.tabulate(model.sample_many((1, 2), 60_000, rng))
-    report = statistical_match(counts, exact.block((1, 2)))
+    report = statistical_match(counts, exact.block((1, 2)), exact.alphabets)
     assert report.passed, report.worst_cell
 
 

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from lhvmodels.errors import DomainError, StructuralError
-from lhvmodels.quantum import OutcomeDistribution
+from lhvmodels.quantum import NO_CLICK, OutcomeDistribution
 from lhvmodels import verify
-from lhvmodels.verify import compare_float, statistical_match, tv_distance
+from lhvmodels.verify import compare_float, statistical_match
+
+#: one party's two outcome labels, for count arrays of shape (2,)
+COIN = ((0, 1),)
 
 
 def _dist(p):
@@ -47,48 +50,82 @@ def test_compare_rejects_mismatched_tables():
         compare_float(_dist(0.5), other)
 
 
-def test_tv_distance_extremes():
-    assert tv_distance({0: 1.0, 1: 0.0}, {0: 1.0, 1: 0.0}) == 0.0
-    assert tv_distance({0: 1.0, 1: 0.0}, {0: 0.0, 1: 1.0}) == pytest.approx(1.0)
-    assert tv_distance({0: 0.75, 1: 0.25}, {0: 0.25, 1: 0.75}) == pytest.approx(0.5)
+def test_statistical_tv_distance_extremes():
+    one = np.array([1.0, 0.0])
+    assert statistical_match(np.array([1000, 0]), one, COIN).tv_distance == 0.0
+    assert statistical_match(np.array([0, 1000]), one, COIN).tv_distance == 1.0
+    half = np.array([0.75, 0.25])
+    assert statistical_match(np.array([250, 750]), half, COIN).tv_distance == 0.5
 
 
-def test_tv_distance_is_correctly_rounded():
-    # a left-to-right sum gives 0.5 * 0.6000000000000001 = 0.30000000000000004
-    assert tv_distance({0: 0.1, 1: 0.2, 2: 0.3}, {}) == 0.3
+def test_statistical_tv_distance_is_correctly_rounded():
+    # the errors are 0.7, 0.2 and 0.9, which a left-to-right sum adds to
+    # 1.7999999999999998
+    report = statistical_match(np.array([0, 0, 1000]), [0.7, 0.2, 0.1], ((0, 1, 2),))
+    assert 0.5 * (0.7 + 0.2 + 0.9) != 0.9
+    assert report.tv_distance == 0.9
+    assert report.max_abs_error == 0.9 and report.worst_cell == "(2,)"
 
 
 def test_statistical_match_fair_coin(rng):
     n = 200_000
     draws = rng.integers(0, 2, size=n)
-    counts = {(0,): int(np.sum(draws == 0)), (1,): int(np.sum(draws == 1))}
-    report = statistical_match(counts, {(0,): 0.5, (1,): 0.5})
+    counts = np.bincount(draws, minlength=2)
+    report = statistical_match(counts, np.array([0.5, 0.5]), COIN)
     assert report.passed
     assert report.mode == "statistical"
     assert report.n_samples == n
 
 
 def test_statistical_match_detects_bias():
-    counts = {(0,): 60_000, (1,): 40_000}
-    report = statistical_match(counts, {(0,): 0.5, (1,): 0.5})
+    report = statistical_match(np.array([60_000, 40_000]), np.array([0.5, 0.5]), COIN)
     assert not report.passed
     assert report.failing_cells == 2
 
 
 def test_statistical_match_needs_enough_samples():
     with pytest.raises(DomainError):
-        statistical_match({(0,): 10, (1,): 12}, {(0,): 0.5, (1,): 0.5})
+        statistical_match(np.array([10, 12]), np.array([0.5, 0.5]), COIN)
+    with pytest.raises(DomainError, match="negative"):
+        statistical_match(np.array([-1, 200]), np.array([0.5, 0.5]), COIN)
 
 
 def test_statistical_match_sigma_factor(monkeypatch):
     # ~2.4 sigma away: fails at 2, passes at 3
     n, k = 10_000, 5_120
-    counts = {(0,): k, (1,): n - k}
-    target = {(0,): 0.5, (1,): 0.5}
-    assert statistical_match(counts, target).passed
+    counts = np.array([k, n - k])
+    target = np.array([0.5, 0.5])
+    assert statistical_match(counts, target, COIN).passed
     monkeypatch.setattr(verify, "SIGMA_FACTOR", 2.0)
-    report = statistical_match(counts, target)
+    report = statistical_match(counts, target, COIN)
     assert not report.passed and report.sigma_bound == 2.0
+
+
+def test_statistical_match_names_first_tied_cell_in_c_order():
+    # 11 outcomes and the silent one: "(10,)" sorts before "(2,)" as a
+    # string, but cell 2 comes first in C order; both are off by 5/1024
+    alphabets = (tuple(range(11)) + (NO_CLICK,),)
+    target = np.array([86] * 4 + [85] * 8) / 1024
+    counts = np.array([86] * 4 + [85] * 8)
+    counts[[2, 10]] += 5
+    counts[[3, 4, 5]] -= [3, 3, 4]
+    report = statistical_match(counts, target, alphabets)
+    assert counts.sum() == 1024 and report.max_abs_error == 5 / 1024
+    assert report.worst_cell == "(2,)"
+    # the silent outcome last, labelled as in the reports
+    two_party = ((0, NO_CLICK), (0, NO_CLICK))
+    counts = np.array([[25, 25], [25, 25]])
+    target = np.array([[0.25, 0.5], [0.25, 0.0]])
+    assert statistical_match(counts, target, two_party).worst_cell == "(0, ∅)"
+
+
+def test_statistical_match_rejects_mismatched_shapes():
+    with pytest.raises(StructuralError):
+        statistical_match(np.array([50, 50, 0]), np.array([0.5, 0.5]), COIN)
+    with pytest.raises(StructuralError):
+        statistical_match(np.array([[50, 50]]), np.array([0.5, 0.5]), COIN)
+    with pytest.raises(StructuralError):
+        statistical_match(np.array([50, 50]), np.array([0.5, 0.5]), ((0, 1, 2),))
 
 
 @pytest.mark.parametrize("slack", [0.0, 2.0**-7])
