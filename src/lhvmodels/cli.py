@@ -75,8 +75,8 @@ from .multiparty import (
 from .quantum import (
     chunk_sizes,
     extend_with_inefficiency,
-    format_outcome,
     load_scenario,
+    outcome_labels,
     quantum_distribution,
 )
 from .two_party import TwoPartyModel
@@ -184,10 +184,9 @@ class _PerSetting:
     def compare(cls, model_dist, target_dist) -> _PerSetting:
         """``model_dist`` against ``target_dist``, settings choice by
         settings choice."""
-        keys = [
-            ",".join(map(format_outcome, o))
-            for o in itertools.product(*model_dist.alphabets)
-        ]
+        shape = model_dist.probs.shape[model_dist.n_parties :]
+        labels = (outcome_labels(k, model_dist.silent) for k in shape)
+        keys = [",".join(o) for o in itertools.product(*labels)]
         order = sorted(range(len(keys)), key=keys.__getitem__)
         settings = [_settings_key(c) for c in model_dist.settings_choices()]
         return cls(
@@ -614,7 +613,7 @@ def _cmd_two_party_verify(args) -> int:
             counts = np.zeros(target.shape, dtype=np.int64)
             for c in chunk_sizes(args.samples):
                 counts += model.tabulate(model.sample_many(choice, c, rng))
-            stat = statistical_match(counts, target, model_dist.alphabets)
+            stat = statistical_match(counts, target, model_dist.silent)
             checks[_settings_key(choice)] = stat.to_dict()
             passed = passed and stat.passed
         body["sampling"] = {

@@ -36,14 +36,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import comb
-from typing import Any, Iterator, Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
 from .bounds import eta_multiparty
 from .errors import ConsistencyError, DomainError, SizeGuardExceeded
 from .quantum import (
-    NO_CLICK,
     OutcomeDistribution,
     Scenario,
     all_marginals,
@@ -462,9 +461,7 @@ class MultipartyModel:
         self._pattern = [
             float(v) for v in self.mixture.click_probabilities().values
         ]
-        self._alphabets = tuple(
-            scenario.alphabet(p) for p in range(self.n)
-        )
+        self._sizes = scenario.n_outcomes
 
     @cached_property
     def _marginals(self) -> np.ndarray:
@@ -477,10 +474,10 @@ class MultipartyModel:
         ``settings``, axes in party order: a read-only view."""
         chosen = dict(zip(parties, settings))
         index = tuple(
-            slice(chosen[p] * len(a), (chosen[p] + 1) * len(a))
+            slice(chosen[p] * a, (chosen[p] + 1) * a)
             if p in chosen
             else -1
-            for p, a in enumerate(self._alphabets)
+            for p, a in enumerate(self._sizes)
         )
         return self._marginals[index]
 
@@ -512,10 +509,9 @@ class MultipartyModel:
         Each silent subset writes one slice: the firing parties' quantum
         marginals at every settings choice of theirs, times the pattern
         probability, broadcast over the silent parties' settings, at the
-        NO_CLICK position of the silent parties' outcome axes.
+        silent (last) position of the silent parties' outcome axes.
         """
-        n, m = self.n, self.m
-        sizes = [len(a) for a in self._alphabets]
+        n, m, sizes = self.n, self.m, self._sizes
         probs = np.zeros((m,) * n + tuple(a + 1 for a in sizes))
         for silent in itertools.product((False, True), repeat=n):
             firing = tuple(p for p in range(n) if not silent[p])
@@ -534,8 +530,7 @@ class MultipartyModel:
             probs[(Ellipsis,) + cell] = weight * marg.reshape(
                 shape + [sizes[p] for p in firing]
             )
-        alphabets = tuple(a + (NO_CLICK,) for a in self._alphabets)
-        return OutcomeDistribution(alphabets, probs)
+        return OutcomeDistribution(probs, silent=True)
 
     # ------------------------------------------------------------------
     # explicit protocol enumeration (locality-manifest route)
@@ -555,7 +550,7 @@ class MultipartyModel:
             raise SizeGuardExceeded(
                 "hidden-variable enumeration is for N <= 4 cross-checks"
             )
-        ext_sizes = [len(a) + 1 for a in self._alphabets]  # last = silent
+        ext_sizes = [a + 1 for a in self._sizes]  # last = silent
         probs = np.zeros((m,) * n + tuple(ext_sizes))
         for choice in self.scenario.settings_choices():
             block = np.zeros(ext_sizes)
@@ -586,8 +581,7 @@ class MultipartyModel:
                                 w_guess,
                             )
             probs[choice] = block
-        alphabets = tuple(a + (NO_CLICK,) for a in self._alphabets)
-        return OutcomeDistribution(alphabets, probs)
+        return OutcomeDistribution(probs, silent=True)
 
     def _accumulate_guessed(
         self,
@@ -602,8 +596,7 @@ class MultipartyModel:
         """Add one (protocol, subset, special, guessed-settings) term:
         sum over guessed outcomes of weight x P(guessed) x (outer product
         of every party's response distribution)."""
-        n = self.n
-        sizes = [len(a) for a in self._alphabets]
+        n, sizes = self.n, self._sizes
         if guessers:
             guess_marg = self._subset_table(guessers, guess_settings)
         else:
@@ -640,23 +633,29 @@ class MultipartyModel:
     # sampling
     # ------------------------------------------------------------------
 
-    def sample(
-        self, settings: tuple[int, ...], rng: np.random.Generator
-    ) -> tuple[Any, ...]:
-        """One draw: pick a protocol, a forced subset, a special party,
-        guessed settings and outcomes, then each party answers from its own
-        setting and the hidden variable alone."""
+    def _choice(self, settings: tuple[int, ...]) -> tuple[int, ...]:
+        """``settings`` as ints, or :class:`DomainError` if out of range."""
         choice = tuple(int(x) for x in settings)
         if len(choice) != self.n or any(
             not 0 <= x < self.m for x in choice
         ):
             raise DomainError(f"settings {settings} out of range")
+        return choice
+
+    def sample(
+        self, settings: tuple[int, ...], rng: np.random.Generator
+    ) -> tuple[int, ...]:
+        """One draw: pick a protocol, a forced subset, a special party,
+        guessed settings and outcomes, then each party answers from its own
+        setting and the hidden variable alone.  Returns outcome positions,
+        with -1 for a silent party."""
+        choice = self._choice(settings)
         indices = sorted(self.mixture.weights)
         probs = np.array([float(self.mixture.weights[i]) for i in indices])
         i = indices[int(rng.choice(len(indices), p=probs / probs.sum()))]
         forced = tuple(sorted(rng.choice(self.n, size=i, replace=False)))
         rest = [p for p in range(self.n) if p not in forced]
-        outcomes: list[Any] = [NO_CLICK] * self.n
+        outcomes = [-1] * self.n
         if not rest:
             return tuple(outcomes)
         special = rest[int(rng.integers(len(rest)))]
@@ -676,14 +675,12 @@ class MultipartyModel:
         # guessing parties answer only on a matching setting
         for j, p in enumerate(guessers):
             if guess_settings[j] == choice[p]:
-                outcomes[p] = self._alphabets[p][guessed[j]]
+                outcomes[p] = int(guessed[j])
         # special party draws the quantum conditional
         joint = self._special_table(choice, special, guessers, guess_settings)
         cond = np.clip(joint[guessed], 0.0, None)
         cond = cond / cond.sum()
-        outcomes[special] = self._alphabets[special][
-            int(rng.choice(len(cond), p=cond))
-        ]
+        outcomes[special] = int(rng.choice(len(cond), p=cond))
         return tuple(outcomes)
 
     def sample_many(
@@ -691,12 +688,13 @@ class MultipartyModel:
     ) -> np.ndarray:
         """Count ``n_draws`` draws of :meth:`sample` at one settings choice
         into an int64 array laid out as a block of :meth:`exact_distribution`
-        (silent outcome last); ``n_draws < 0`` raises before any draw."""
+        (silent outcome last); bad settings or ``n_draws < 0`` raise before
+        any draw."""
+        self._choice(settings)
         if n_draws < 0:
             raise DomainError(f"need n_draws >= 0, got n_draws={n_draws}")
-        counts = np.zeros([len(a) + 1 for a in self._alphabets], dtype=np.int64)
+        counts = np.zeros([a + 1 for a in self._sizes], dtype=np.int64)
         for _ in range(int(n_draws)):
-            o = self.sample(settings, rng)
-            # labels are positions; -1 counts the silent outcome last
-            counts[tuple(-1 if x is NO_CLICK else x for x in o)] += 1
+            # the silent code -1 counts in the last position
+            counts[self.sample(settings, rng)] += 1
         return counts

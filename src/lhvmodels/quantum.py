@@ -6,10 +6,10 @@ joint outcome probabilities
 
     P(a_1, ..., a_N | x_1, ..., x_N) = Tr((E^1_{a_1} (x) ... (x) E^N_{a_N}) rho),
 
-together with the detector-inefficiency extension in which every party's
-outcome alphabet gains a "no click" symbol and a pattern with k silent
-detectors occurs with probability eta^(N-k) (1-eta)^k times the quantum
-marginal on the firing set.
+together with the detector-inefficiency extension in which every party
+gains a "no click" outcome and a pattern with k silent detectors occurs
+with probability eta^(N-k) (1-eta)^k times the quantum marginal on the
+firing set.
 
 Every quantum table of a scenario is a slice of one contraction
 (:func:`all_marginals`): joint tables in its all-click corner, marginals in
@@ -17,9 +17,11 @@ its identity rows.
 
 Outcome tables (:class:`OutcomeDistribution`) are dense float64 arrays,
 settings axes first and then one outcome axis per party.  Outcomes are the
-positions 0..A-1 of a party's POVM elements, with NO_CLICK last where an
-alphabet is extended; labels appear only at I/O.  Sums over cells run in C
-order, and a comparison's worst cell is the first tied cell in C order.
+positions 0..A-1 of a party's POVM elements; in an eta-extended table
+(``silent``) every outcome axis has one more position, the last, for no
+click.  Labels appear only at I/O (:func:`outcome_labels`, where the silent
+position is "∅").  Sums over cells run in C order, and a comparison's worst
+cell is the first tied cell in C order.
 
 Numerical policy: quantum quantities are computed in floating point and
 compared with tolerance ``1e-10``; exact rational arithmetic is reserved for
@@ -65,33 +67,6 @@ MAX_TABLE_ENTRIES = 2_000_000
 #: The two-party sampler draws and counts at most this many draws at a
 #: time, so its memory does not grow with the number of samples.
 CHUNK = 1 << 16
-
-
-class _NoClick:
-    """Singleton sentinel for the detector-silent outcome."""
-
-    _instance = None
-    __slots__ = ()
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "∅"
-
-    def __reduce__(self):
-        return (_NoClick, ())
-
-
-#: The extra outcome a detector produces when it does not fire.
-NO_CLICK = _NoClick()
-
-
-def format_outcome(outcome: Any) -> str:
-    """Render an outcome label for reports ("∅" for the silent outcome)."""
-    return "∅" if outcome is NO_CLICK else str(outcome)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -416,7 +391,7 @@ class Scenario:
 
     ``settings[p]`` is the list of POVMs party ``p`` may choose between; all
     settings of one party must act on that party's local dimension and have
-    the same number of outcomes (so the party has a single outcome alphabet).
+    the same number of outcomes.
     Construction validates every POVM, so a ``Scenario`` instance is always
     fully valid.
     """
@@ -465,9 +440,11 @@ class Scenario:
         """Number of settings per party (M_1, ..., M_N)."""
         return tuple(len(per_party) for per_party in self.settings)
 
-    def alphabet(self, party: int) -> tuple[int, ...]:
-        """Outcome positions of one party (the same for all its settings)."""
-        return tuple(range(self.settings[party][0].n_outcomes))
+    @property
+    def n_outcomes(self) -> tuple[int, ...]:
+        """Number of outcomes per party (A_1, ..., A_N), the same for all
+        of a party's settings."""
+        return tuple(per_party[0].n_outcomes for per_party in self.settings)
 
     def settings_choices(self) -> Iterable[tuple[int, ...]]:
         """All joint setting choices, in lexicographic order."""
@@ -478,8 +455,8 @@ def check_table_size(scenario: Scenario) -> None:
     """Raise :class:`SizeGuardExceeded` if the scenario's eta-extended
     table, prod_p M_p (A_p + 1) entries, exceeds :data:`MAX_TABLE_ENTRIES`."""
     entries = math.prod(
-        m * (len(scenario.alphabet(p)) + 1)
-        for p, m in enumerate(scenario.n_settings)
+        m * (a + 1)
+        for m, a in zip(scenario.n_settings, scenario.n_outcomes)
     )
     if entries > MAX_TABLE_ENTRIES:
         raise SizeGuardExceeded(
@@ -616,38 +593,43 @@ def sequential_sum(a: np.ndarray, axes: Iterable[int]) -> np.ndarray:
     return np.cumsum(flat, axis=-1)[..., -1]
 
 
+def outcome_labels(size: int, silent: bool) -> list[str]:
+    """Report labels of one outcome axis of ``size`` positions: each
+    position as text, and "∅" for the last one where ``silent``."""
+    labels = [str(i) for i in range(size)]
+    if silent:
+        labels[-1] = "∅"
+    return labels
+
+
 @dataclass(frozen=True, eq=False)
 class OutcomeDistribution:
     """A probability table over settings choices and outcome tuples.
 
     ``probs`` has shape ``(M_1, ..., M_N, A_1, ..., A_N)``, so ``probs[s]``
-    is the block at settings choice ``s``; ``alphabets[p]`` labels party
-    ``p``'s outcome axis, with :data:`NO_CLICK` last where present.  Labels
-    are used only at I/O (:attr:`table`, report rendering); :meth:`block`
-    is one settings block of ``probs``.  Every input is
-    stored read-only as float64, and each block must sum to 1 within
-    ``1e-12``.  A shape that does not match the alphabets raises
-    :class:`StructuralError`; an entry outside [0, 1] or a block that does
-    not sum to 1 raises :class:`InvariantViolation`.
+    is the block at settings choice ``s``; outcomes are positions, and
+    ``silent`` says that the last position of every outcome axis is the
+    no-click outcome.  Labels are used only at I/O
+    (:func:`outcome_labels`); :meth:`block` is one settings block of
+    ``probs``.  Every input is stored read-only as float64, and each block
+    must sum to 1 within ``1e-12``.  An empty array or an odd number of
+    axes raises :class:`StructuralError`; an entry outside [0, 1] or a
+    block that does not sum to 1 raises :class:`InvariantViolation`.
     """
 
-    alphabets: tuple[tuple[Any, ...], ...]
     probs: np.ndarray
+    silent: bool
 
     def __post_init__(self) -> None:
-        alphabets = tuple(tuple(a) for a in self.alphabets)
-        n = len(alphabets)
-        sizes = tuple(len(a) for a in alphabets)
         probs = np.asarray(self.probs)
-        if not n or probs.ndim != 2 * n or probs.shape[n:] != sizes:
+        n = probs.ndim // 2
+        if not n or probs.ndim != 2 * n:
             raise StructuralError(
-                f"probability array of shape {probs.shape} does not match "
-                f"{n} parties with outcome alphabets of sizes {sizes}"
+                f"probability array of shape {probs.shape} is not settings "
+                "axes followed by as many outcome axes"
             )
         if not probs.size:
             raise StructuralError(f"empty probability array of shape {probs.shape}")
-        if any(NO_CLICK in a[:-1] for a in alphabets):
-            raise StructuralError("NO_CLICK must be the last label of an alphabet")
         probs, tol = np.array(probs, dtype=np.float64), BLOCK_SUM_TOL
         outside = ~((probs >= -tol) & (probs <= 1 + tol))  # NaN too
         if outside.any():
@@ -662,12 +644,11 @@ class OutcomeDistribution:
                 f"settings {s}: probabilities sum to {totals[s]}, not 1"
             )
         probs.setflags(write=False)
-        object.__setattr__(self, "alphabets", alphabets)
         object.__setattr__(self, "probs", probs)
 
     @property
     def n_parties(self) -> int:
-        return len(self.alphabets)
+        return self.probs.ndim // 2
 
     def settings_choices(self) -> list[tuple[int, ...]]:
         """Every settings choice, in lexicographic (C) order."""
@@ -683,11 +664,10 @@ class OutcomeDistribution:
         return self.probs[s]
 
     @property
-    def table(self) -> dict[tuple[tuple[int, ...], tuple[Any, ...]], float]:
-        """Every cell keyed by ``(settings, outcomes)`` label tuples, built
-        on each access (for I/O and cell counts; computations use
-        ``probs``)."""
-        cells = list(itertools.product(*self.alphabets))
+    def table(self) -> dict[tuple[tuple[int, ...], tuple[int, ...]], float]:
+        """Every cell keyed by ``(settings, outcome positions)``, built on
+        each access (for cell counts; computations use ``probs``)."""
+        cells = list(np.ndindex(self.probs.shape[self.n_parties :]))
         rows = self.probs.reshape(-1, len(cells)).tolist()
         return {
             (s, o): p
@@ -695,19 +675,15 @@ class OutcomeDistribution:
             for o, p in zip(cells, row)
         }
 
-    def includes_no_click(self) -> bool:
-        return any(NO_CLICK in a for a in self.alphabets)
-
     def all_click_conditional(self) -> np.ndarray:
         """Every block conditioned on all detectors firing, shape
-        ``(M_1, ..., M_N, A'_1, ..., A'_N)`` with NO_CLICK dropped from
-        each alphabet (DomainError where a block never fires fully)."""
+        ``(M_1, ..., M_N, A'_1, ..., A'_N)`` with the silent position
+        dropped from each outcome axis (DomainError where a block never
+        fires fully)."""
         n = self.n_parties
-        keep = tuple(
-            slice(len(a) - 1) if a[-1] is NO_CLICK else slice(None)
-            for a in self.alphabets
-        )
-        clicked = self.probs[(Ellipsis,) + keep]
+        clicked = self.probs
+        if self.silent:
+            clicked = clicked[(Ellipsis,) + (slice(-1),) * n]
         totals = sequential_sum(clicked, range(n, 2 * n))
         zero = totals == 0
         if np.any(zero):
@@ -732,11 +708,9 @@ def quantum_distribution(scenario: Scenario) -> OutcomeDistribution:
     choice, as an :class:`OutcomeDistribution`: the all-click
     corner of :func:`all_marginals`, with each party's axis split into
     (setting, outcome)."""
-    n = scenario.n_parties
-    alphabets = tuple(scenario.alphabet(p) for p in range(n))
-    corner = all_marginals(scenario)[(slice(-1),) * n]
+    corner = all_marginals(scenario)[(slice(-1),) * scenario.n_parties]
     return OutcomeDistribution(
-        alphabets, split_settings(corner, scenario.n_settings)
+        split_settings(corner, scenario.n_settings), silent=False
     )
 
 
@@ -749,16 +723,16 @@ def extend_with_inefficiency(
     outcomes ``o`` has probability ``eta^(N-k) (1-eta)^k`` times the
     marginal of ``o`` over K (obtained by summing the click-only block, which
     by POVM completeness equals the identity-substitution marginal).  Each
-    silent set K writes one slice of the output: the NO_CLICK position on
-    K's outcome axes.  ``eta`` is taken as a float.
+    silent set K writes one slice of the output: the silent (last) position
+    on K's outcome axes.  ``eta`` is taken as a float.
     """
-    if dist.includes_no_click():
+    if dist.silent:
         raise DomainError("distribution already includes the no-click outcome")
     eta = float(eta)
     if not 0 <= eta <= 1:
         raise DomainError(f"efficiency {eta} outside [0,1]")
     n = dist.n_parties
-    sizes = [len(a) for a in dist.alphabets]
+    sizes = dist.probs.shape[n:]
     out = np.zeros(dist.probs.shape[:n] + tuple(a + 1 for a in sizes))
     for silent in itertools.product((False, True), repeat=n):
         k = sum(silent)
@@ -767,8 +741,7 @@ def extend_with_inefficiency(
         cell = tuple(sizes[q] if silent[q] else slice(sizes[q]) for q in range(n))
         # adding to zero also turns a -0.0 cell into 0.0
         out[(Ellipsis,) + cell] += factor * marg
-    alphabets = tuple(a + (NO_CLICK,) for a in dist.alphabets)
-    return OutcomeDistribution(alphabets, out)
+    return OutcomeDistribution(out, silent=True)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ import numpy as np
 from .bounds import SymmetrizationSolution, solve_symmetrization
 from .errors import DomainError
 from .quantum import (
-    NO_CLICK,
     OutcomeDistribution,
     Scenario,
     _readonly,
@@ -116,13 +115,7 @@ class TwoPartyModel:
             self.m_a, self.m_b
         )
         self.eta = self.symmetrization.eta
-        self._alphabet_a = scenario.alphabet(0)
-        self._alphabet_b = scenario.alphabet(1)
-        self.n_a = len(self._alphabet_a)
-        self.n_b = len(self._alphabet_b)
-        self._extended_alphabets = (
-            self._alphabet_a + (NO_CLICK,), self._alphabet_b + (NO_CLICK,)
-        )
+        self.n_a, self.n_b = scenario.n_outcomes
         # quantum tables: joint (x, y, a, b), marginals (x, a) and (y, b)
         self._joint = _readonly([
             [joint_outcome_table(scenario, (x, y)) for y in range(self.m_b)]
@@ -164,7 +157,7 @@ class TwoPartyModel:
         probs[:, :, :-1, -1] = w_bob_silent * a_any_b
         probs[:, :, -1, :-1] = w_alice_silent * b_any_a
         probs[:, :, -1, -1] = 1.0 - g
-        return OutcomeDistribution(self._extended_alphabets, probs)
+        return OutcomeDistribution(probs, silent=True)
 
     # ------------------------------------------------------------------
     # explicit hidden-variable enumeration (locality-manifest route)
@@ -207,7 +200,7 @@ class TwoPartyModel:
 
     def respond_alice(self, lam: TwoPartyHiddenVariable, x: int) -> np.ndarray:
         """Alice's outcome distribution given the hidden variable and *her
-        own* setting only — a vector over her alphabet plus the silent
+        own* setting only — a vector over her outcomes plus the silent
         outcome in the last position."""
         out = np.zeros(self.n_a + 1)
         if lam.gate == "both_silent":
@@ -255,7 +248,7 @@ class TwoPartyModel:
                         self.respond_alice(lam, x), self.respond_bob(lam, y)
                     )
                 probs[x, y] = block
-        return OutcomeDistribution(self._extended_alphabets, probs)
+        return OutcomeDistribution(probs, silent=True)
 
     # ------------------------------------------------------------------
     # sampling
@@ -338,7 +331,10 @@ class TwoPartyModel:
             or samples[:, 0].max() >= self.n_a
             or samples[:, 1].max() >= self.n_b
         ):
-            raise DomainError("sample codes out of range for the alphabets")
+            raise DomainError(
+                f"sample codes outside -1..{self.n_a - 1} (Alice) "
+                f"or -1..{self.n_b - 1} (Bob)"
+            )
         width = self.n_b + 1
         counts = np.bincount(
             (samples[:, 0] + 1) * width + (samples[:, 1] + 1),

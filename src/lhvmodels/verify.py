@@ -8,7 +8,8 @@ Two comparison modes, each producing a :class:`ComparisonReport`:
   two arrays of the same shape, with a per-cell three-sigma
   normal-approximation criterion.
 
-Outcome labels are used only to name the worst cell.
+Outcomes are positions; labels (:func:`~lhvmodels.quantum.outcome_labels`,
+"∅" for the silent position) are used only to name the worst cell.
 
 The statistical criterion is one array routine, :func:`sigma_band`, which
 the dimension model's checks call too.  It deliberately applies no
@@ -21,12 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
 from .errors import DomainError, StructuralError
-from .quantum import OutcomeDistribution, format_outcome, sequential_sum
+from .quantum import OutcomeDistribution, outcome_labels, sequential_sum
 
 #: Default entrywise tolerance for float comparisons.
 FLOAT_TOL = 1e-10
@@ -76,12 +77,11 @@ class ComparisonReport:
         return out
 
 
-def _render_cell(key: Any) -> str:
-    settings, outcomes = key
-    return "settings=({}) outcomes=({})".format(
-        ",".join(str(s) for s in settings),
-        ",".join(format_outcome(o) for o in outcomes),
-    )
+def _labels(
+    shape: tuple[int, ...], index: tuple[int, ...], silent: bool
+) -> list[str]:
+    """The report labels of one outcome cell, ``index`` into ``shape``."""
+    return [outcome_labels(k, silent)[i] for k, i in zip(shape, index)]
 
 
 def compare_float(
@@ -91,25 +91,27 @@ def compare_float(
 
     The worst cell is the first largest error in C order; the distance is
     the worst block's half-sum of the errors.  Tables over different cells
-    raise :class:`StructuralError`.
+    (shapes or ``silent`` flags that differ) raise :class:`StructuralError`.
     """
-    if a.alphabets != b.alphabets or a.probs.shape != b.probs.shape:
+    if a.silent != b.silent or a.probs.shape != b.probs.shape:
         raise StructuralError(
             f"distributions index different cells (shapes {a.probs.shape} "
-            f"and {b.probs.shape}, alphabets {a.alphabets} and {b.alphabets})"
+            f"and {b.probs.shape}, silent {a.silent} and {b.silent})"
         )
     err = np.abs(a.probs - b.probs)
     failing = int(np.count_nonzero(err > tol))
     n = a.n_parties
     i = int(np.argmax(err))
-    idx = [int(j) for j in np.unravel_index(i, err.shape)]
-    outcomes = tuple(a.alphabets[p][idx[n + p]] for p in range(n))
+    idx = np.unravel_index(i, err.shape)
+    outcomes = _labels(err.shape[n:], idx[n:], a.silent)
     tv = 0.5 * sequential_sum(err, range(n, 2 * n))
     return ComparisonReport(
         mode="float",
         passed=failing == 0,
         max_abs_error=float(err.flat[i]),
-        worst_cell=_render_cell((idx[:n], outcomes)),
+        worst_cell="settings=({}) outcomes=({})".format(
+            ",".join(str(s) for s in idx[:n]), ",".join(outcomes)
+        ),
         tv_distance=float(np.max(tv)),
         failing_cells=failing,
     )
@@ -131,24 +133,20 @@ def sigma_band(
     return freq, sigma, np.abs(freq - p) <= slack + SIGMA_FACTOR * sigma
 
 
-def statistical_match(
-    counts: Any, target: Any, alphabets: Sequence[Sequence[Any]]
-) -> ComparisonReport:
+def statistical_match(counts: Any, target: Any, silent: bool) -> ComparisonReport:
     """Check an array of counts against a target array, cell by cell.
 
-    Each cell must pass :func:`sigma_band`.  ``alphabets[p]`` labels axis
-    ``p``; it only names the worst cell, the first largest error in C
-    order, as ``str(tuple(labels))``.  Shapes that differ raise
+    Each cell must pass :func:`sigma_band`.  The worst cell is the first
+    largest error in C order, named as a tuple of its labels, "∅" for the
+    last position of every axis where ``silent``.  Shapes that differ raise
     :class:`StructuralError`; negative counts, or a total below
     :data:`MIN_SAMPLES` (the normal approximation), :class:`DomainError`.
     """
     counts = np.asarray(counts)
     probs = np.asarray(target, dtype=np.float64)
-    sizes = tuple(len(a) for a in alphabets)
-    if not counts.shape == probs.shape == sizes:
+    if counts.shape != probs.shape:
         raise StructuralError(
-            f"counts of shape {counts.shape}, target of shape {probs.shape}, "
-            f"alphabets of sizes {sizes}"
+            f"counts of shape {counts.shape}, target of shape {probs.shape}"
         )
     if (counts < 0).any():
         raise DomainError("negative count")
@@ -161,12 +159,13 @@ def statistical_match(
     freq, _, passed = sigma_band(counts, total, probs)
     err = np.abs(freq - probs)
     i = int(np.argmax(err))
-    labels = tuple(a[j] for a, j in zip(alphabets, np.unravel_index(i, err.shape)))
+    cell = ", ".join(_labels(err.shape, np.unravel_index(i, err.shape), silent))
     return ComparisonReport(
         mode="statistical",
         passed=bool(passed.all()),
         max_abs_error=float(err.flat[i]),
-        worst_cell=str(labels),
+        # as Python writes a tuple: "(0, ∅)", or "(2,)" on one axis
+        worst_cell=f"({cell},)" if err.ndim == 1 else f"({cell})",
         tv_distance=0.5 * math.fsum(err.ravel().tolist()),
         failing_cells=int(np.count_nonzero(~passed)),
         n_samples=total,

@@ -80,7 +80,7 @@ def test_criterion_3_sampler_statistics(acceptance_log, chsh):
         rng = np.random.default_rng(20_260_823)
         counts = model.tabulate(model.sample_many((0, 0), 1_000_000, rng))
         exact = model.exact_distribution()
-        report = statistical_match(counts, exact.block((0, 0)), exact.alphabets)
+        report = statistical_match(counts, exact.block((0, 0)), exact.silent)
         assert report.passed, report.worst_cell
 
 

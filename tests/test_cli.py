@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -23,7 +24,6 @@ from lhvmodels.presets import (
 from lhvmodels.quantum import (
     CHUNK,
     extend_with_inefficiency,
-    format_outcome,
     load_scenario,
     quantum_distribution,
     scenario_to_json,
@@ -399,7 +399,8 @@ def test_reports_are_reproducible_modulo_timestamp(tmp_path):
 
 
 def test_sampled_reports_are_reproducible_across_processes(tmp_path):
-    # each process places the NO_CLICK sentinel, and so its hash, anew
+    # two string-hash seeds, and each process places its objects anew, so
+    # an order that follows string hashes or object ids differs between runs
     scenario = random_two_party_scenario(
         np.random.default_rng(1), 2, 2, 4, (3, 3)
     )
@@ -408,8 +409,11 @@ def test_sampled_reports_are_reproducible_across_processes(tmp_path):
     argv = [sys.executable, "-m", "lhvmodels.cli", "two-party", "verify",
             "--scenario", str(path), "--samples", "2000", "--seed", "11"]
     outputs = [
-        subprocess.run(argv, capture_output=True, text=True, check=True).stdout
-        for _ in range(2)
+        subprocess.run(
+            argv, capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONHASHSEED": seed},
+        ).stdout
+        for seed in ("0", "1")
     ]
     assert '"tv_distance"' in outputs[0]
     assert _strip_timestamps(outputs[0]) == _strip_timestamps(outputs[1])
@@ -577,9 +581,15 @@ def _report_cells(text: str, fmt: str) -> dict:
 
 
 def _keyed(dist) -> dict:
-    """An outcome table's cells under their report keys."""
+    """An outcome table's cells under their report keys: positions as
+    text, with the last position of each axis "∅" in a silent table."""
+    sizes = dist.probs.shape[dist.n_parties :]
+
+    def label(axis, i):
+        return "∅" if dist.silent and i == sizes[axis] - 1 else str(i)
+
     return {
-        (",".join(map(str, s)), ",".join(map(format_outcome, o))): p
+        (",".join(map(str, s)), ",".join(map(label, range(len(o)), o))): p
         for (s, o), p in dist.table.items()
     }
 

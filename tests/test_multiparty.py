@@ -24,7 +24,6 @@ from lhvmodels.multiparty import (
 )
 from lhvmodels.presets import ghz_scenario
 from lhvmodels.quantum import (
-    NO_CLICK,
     extend_with_inefficiency,
     quantum_distribution,
 )
@@ -443,7 +442,7 @@ def test_multiparty_sampler_matches_exact(ghz3, rng):
     model = MultipartyModel(ghz3)
     counts = model.sample_many((0, 1, 1), 20_000, rng)
     exact = model.exact_distribution()
-    report = statistical_match(counts, exact.block((0, 1, 1)), exact.alphabets)
+    report = statistical_match(counts, exact.block((0, 1, 1)), exact.silent)
     assert report.passed, report.worst_cell
 
 
@@ -451,12 +450,13 @@ def test_multiparty_sample_many_counts_the_seeded_draws(ghz3):
     model = MultipartyModel(ghz3)
     counts = model.sample_many((0, 1, 1), 300, np.random.default_rng(4))
     # the same draws one by one, each outcome counted at its position in
-    # the block, the silent outcome last
+    # the block, the silent code -1 in the last position
     rng = np.random.default_rng(4)
     expected = np.zeros((3, 3, 3), dtype=np.int64)
     for _ in range(300):
         draw = model.sample((0, 1, 1), rng)
-        expected[tuple(2 if o is NO_CLICK else o for o in draw)] += 1
+        assert all(-1 <= o < 2 for o in draw)
+        expected[tuple(2 if o == -1 else o for o in draw)] += 1
     assert counts.dtype == np.int64
     np.testing.assert_array_equal(counts, expected)
     assert counts[-1, -1, -1] > 0
@@ -470,4 +470,15 @@ def test_multiparty_sample_many_rejects_negative_draws_before_drawing(ghz3):
     state = rng.bit_generator.state
     with pytest.raises(DomainError, match="n_draws=-1"):
         model.sample_many((0, 0, 0), -1, rng)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("n_draws", [0, 5])
+def test_multiparty_sample_many_rejects_bad_settings_before_drawing(ghz3, n_draws):
+    model = MultipartyModel(ghz3)
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    for bad in ((9, 9, 9), (0, 2, 0), (0, 0, -1), (0, 0)):
+        with pytest.raises(DomainError, match="out of range"):
+            model.sample_many(bad, n_draws, rng)
     assert rng.bit_generator.state == state

@@ -3,7 +3,6 @@
 import itertools
 import json
 import math
-import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -18,20 +17,19 @@ from lhvmodels.errors import (
 )
 from lhvmodels.presets import computational_povm, ghz_scenario, random_povm
 from lhvmodels.quantum import (
-    NO_CLICK,
     all_marginals,
     OutcomeDistribution,
     Povm,
     QuantumState,
     Scenario,
     extend_with_inefficiency,
-    format_outcome,
     ghz_state,
     haar_random_state,
     inverse_cdf,
     joint_outcome_table,
     load_scenario,
     maximally_entangled,
+    outcome_labels,
     projective_povm,
     quantum_distribution,
     refine_to_rank_one,
@@ -55,11 +53,10 @@ def _comp_scenario(d=2, n_settings=1):
 # ---------------------------------------------------------------------------
 
 
-def test_no_click_is_a_singleton():
-    assert pickle.loads(pickle.dumps(NO_CLICK)) is NO_CLICK
-    assert format_outcome(NO_CLICK) == "∅"
-    assert format_outcome(0) == "0"
-    assert repr(NO_CLICK) == "∅"
+def test_outcome_labels_mark_the_silent_position():
+    assert outcome_labels(3, False) == ["0", "1", "2"]
+    assert outcome_labels(3, True) == ["0", "1", "∅"]
+    assert outcome_labels(1, True) == ["∅"]
 
 
 def test_maximally_entangled_amplitudes():
@@ -308,7 +305,7 @@ def _marginal_slices(scenario):
     the table subset_joint_table gives for it."""
     table = all_marginals(scenario)
     n = scenario.n_parties
-    sizes = [len(scenario.alphabet(p)) for p in range(n)]
+    sizes = scenario.n_outcomes
     for k in range(1, n + 1):
         for parties in itertools.combinations(range(n), k):
             ranges = (range(scenario.n_settings[p]) for p in parties)
@@ -333,8 +330,7 @@ def test_all_marginals_match_per_call_tables(case, random23):
     scenario = random23 if case == "random23" else ghz_scenario(int(case[-1]))
     table = all_marginals(scenario)
     assert table.shape == tuple(
-        m * len(scenario.alphabet(p)) + 1
-        for p, m in enumerate(scenario.n_settings)
+        m * a + 1 for m, a in zip(scenario.n_settings, scenario.n_outcomes)
     )
     assert not table.flags.writeable
     assert abs(table[(-1,) * scenario.n_parties] - 1.0) < 1e-15
@@ -354,12 +350,11 @@ def test_all_marginals_match_per_call_tables(case, random23):
 @pytest.mark.parametrize("case", ["chsh", "random23"])
 def test_quantum_distribution_matches_per_choice_loop(case, chsh, random23):
     scenario = chsh if case == "chsh" else random23
-    alphabets = tuple(scenario.alphabet(p) for p in range(scenario.n_parties))
-    want = np.empty(scenario.n_settings + tuple(len(a) for a in alphabets))
+    want = np.empty(scenario.n_settings + scenario.n_outcomes)
     for choice in scenario.settings_choices():
         want[choice] = joint_outcome_table(scenario, choice)
     dist = quantum_distribution(scenario)
-    assert dist.alphabets == alphabets
+    assert not dist.silent
     assert dist.probs.shape == want.shape
     assert np.max(np.abs(dist.probs - want)) <= 1e-15
 
@@ -372,7 +367,7 @@ def test_quantum_distribution_matches_per_choice_loop(case, chsh, random23):
 def test_extend_at_unit_efficiency_changes_nothing(chsh):
     dist = quantum_distribution(chsh)
     extended = extend_with_inefficiency(dist, 1.0)
-    assert extended.includes_no_click()
+    assert extended.silent
     for choice in dist.settings_choices():
         block = extended.block(choice)
         # the silent outcome is last on each axis
@@ -404,27 +399,28 @@ def test_conditioning_recovers_quantum_block(chsh):
 def test_distribution_rejects_bad_normalization():
     probs = np.array([[[[0.9]]]])
     with pytest.raises(InvariantViolation):
-        OutcomeDistribution(((0,), (0,)), probs)
+        OutcomeDistribution(probs, silent=False)
 
 
 def test_distribution_checks_shape_range_and_settings():
-    alphabets = ((0, 1), ("u", "v", "w"))
-    with pytest.raises(StructuralError):  # outcome axes (2, 2), alphabets (2, 3)
-        OutcomeDistribution(alphabets, np.full((1, 1, 2, 2), 0.25))
-    with pytest.raises(StructuralError):  # settings axes missing
-        OutcomeDistribution(alphabets, np.full((2, 3), 1 / 6))
-    with pytest.raises(StructuralError):
-        OutcomeDistribution(((NO_CLICK, 0), (0,)), np.full((1, 1, 2, 1), 0.5))
+    # an odd number of axes: no split into settings and outcome axes
+    for shape in ((2, 3, 6), (6,), (1, 1, 2, 3, 1)):
+        with pytest.raises(StructuralError):
+            OutcomeDistribution(np.full(shape, 1 / 6), silent=False)
+    with pytest.raises(StructuralError):  # no axes at all
+        OutcomeDistribution(np.array(1.0), silent=False)
+    with pytest.raises(StructuralError):  # an empty outcome axis
+        OutcomeDistribution(np.zeros((1, 1, 2, 0)), silent=True)
     outside = np.full((1, 1, 2, 3), 0.2)
     outside[0, 0, 0, 0], outside[0, 0, 1, 2] = 1.5, -0.5
     with pytest.raises(InvariantViolation):
-        OutcomeDistribution(alphabets, outside)
+        OutcomeDistribution(outside, silent=False)
     with pytest.raises(InvariantViolation):  # six sevenths
         OutcomeDistribution(
-            alphabets, np.full((1, 1, 2, 3), Fraction(1, 7), dtype=object)
+            np.full((1, 1, 2, 3), Fraction(1, 7), dtype=object), silent=False
         )
 
-    dist = OutcomeDistribution(alphabets, np.full((2, 4, 2, 3), 1 / 6))
+    dist = OutcomeDistribution(np.full((2, 4, 2, 3), 1 / 6), silent=False)
     assert dist.n_parties == 2 and dist.probs.dtype == np.float64
     assert len(dist.table) == 2 * 4 * 2 * 3
     assert dist.settings_choices() == list(itertools.product(range(2), range(4)))
@@ -437,9 +433,8 @@ def test_distribution_checks_shape_range_and_settings():
             dist.block(bad)
     assert not dist.probs.flags.writeable
 
-    never_fires = OutcomeDistribution(
-        ((0, 1), (NO_CLICK,)), np.full((1, 1, 2, 1), 0.5)
-    )
+    # the second party's only position is the silent one
+    never_fires = OutcomeDistribution(np.full((1, 1, 2, 1), 0.5), silent=True)
     with pytest.raises(DomainError):
         never_fires.all_click_conditional()
 
@@ -447,7 +442,7 @@ def test_distribution_checks_shape_range_and_settings():
 def test_distribution_stores_fraction_array_as_float64():
     half, zero = Fraction(1, 2), Fraction(0)
     probs = np.array([[[[half, zero], [zero, half]]]], dtype=object)
-    dist = OutcomeDistribution(((0, 1), (0, 1)), probs)
+    dist = OutcomeDistribution(probs, silent=False)
     assert dist.probs.dtype == np.float64
     assert dist.probs.tolist() == [[[[0.5, 0.0], [0.0, 0.5]]]]
     extended = extend_with_inefficiency(dist, Fraction(2, 3))
@@ -456,13 +451,15 @@ def test_distribution_stores_fraction_array_as_float64():
 
 
 def _reference_extend(dist, eta):
-    """The label-keyed dict loop that the dense eta-extension replaced,
-    kept as an oracle for its values and its float rounding."""
+    """The cell-keyed dict loop that the dense eta-extension replaced,
+    kept as an oracle for its values and its float rounding.  A silent
+    party's key is the position after its last outcome."""
     eta = float(eta)
     n = dist.n_parties
+    sizes = dist.probs.shape[n:]
     table = {}
     for settings in dist.settings_choices():
-        cells = itertools.product(*dist.alphabets)
+        cells = itertools.product(*(range(k) for k in sizes))
         block = dict(zip(cells, dist.block(settings).ravel().tolist()))
         for silent in itertools.product((False, True), repeat=n):
             k = sum(silent)
@@ -470,7 +467,7 @@ def _reference_extend(dist, eta):
             marg = {}
             for outcomes, p in block.items():
                 key = tuple(
-                    NO_CLICK if silent[q] else outcomes[q] for q in range(n)
+                    sizes[q] if silent[q] else outcomes[q] for q in range(n)
                 )
                 marg[key] = marg.get(key, 0) + p
             for key, p in marg.items():
@@ -479,13 +476,13 @@ def _reference_extend(dist, eta):
 
 
 def _counts_distribution():
-    """Three parties, a size-1 settings axis and a string alphabet: each
-    block's counts divided by its total."""
+    """Three parties, a size-1 settings axis and three outcomes for the
+    middle party: each block's counts divided by its total."""
     rng = np.random.default_rng(5)
     counts = rng.integers(0, 7, size=(2, 1, 3, 2, 3, 2))
     counts[..., 0, 0, 0] += 1  # no empty block
     totals = counts.sum(axis=(3, 4, 5), keepdims=True)
-    return OutcomeDistribution(((0, 1), ("a", "b", "c"), (0, 1)), counts / totals)
+    return OutcomeDistribution(counts / totals, silent=False)
 
 
 @pytest.mark.parametrize("case", ["ghz4", "random23", "counts3"])
