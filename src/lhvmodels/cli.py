@@ -14,8 +14,11 @@ Subcommands
     chunks of at most ``quantum.CHUNK`` draws, so memory does not grow
     with ``--samples``.
 ``lhv multiparty solve | scan | verify``
-    Exact mixture weights for one (N, M); the streaming positivity scan;
-    the exact N-party model against the eta-extended quantum distribution.
+    Exact mixture weights for one (N, M), from the O(N) recursion; the
+    streaming positivity scan, on the recursion's integers; the exact
+    N-party model against the eta-extended quantum distribution.  The
+    exact reports are refused (exit 2) where a number would have more
+    digits than Python renders.
 ``lhv dim-model verify``
     Monte Carlo run of the dimension-dependent model, counted in chunks of
     at most ``dimension.CHUNK_BYTES`` of normals and products, so memory
@@ -68,9 +71,10 @@ from .dimension import run_dimension_model
 from .errors import DomainError, LhvError, ScenarioFormatError, SizeGuardExceeded
 from .multiparty import (
     MultipartyModel,
+    check_report_digits,
     check_scan_args,
+    mixture_from_recursion,
     positivity_scan,
-    solve_weights,
 )
 from .quantum import (
     chunk_sizes,
@@ -448,7 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode",
         choices=("r", "fixed"),
         default="r",
-        help="r: all M at once via the recursion; fixed: weights at --m",
+        help="r: all M at once via the recursion; fixed: repeats r's "
+        "certificate at one M, checking the weights at --m",
     )
     p_scan.add_argument("--m", type=int, help="settings count for --mode fixed")
     p_multi_verify = multi_sub.add_parser(
@@ -626,7 +631,8 @@ def _cmd_two_party_verify(args) -> int:
 
 
 def _cmd_multiparty_solve(args) -> int:
-    mixture = solve_weights(args.n, args.m)
+    check_report_digits(args.n, args.m)
+    mixture = mixture_from_recursion(args.n, args.m)
     config = RunConfig(
         "multiparty solve", {"n": args.n, "m": args.m}, None, args.out, args.fmt
     )
@@ -657,6 +663,8 @@ def _cmd_multiparty_scan(args, parser) -> int:
     config = RunConfig("multiparty scan", params, None, args.out, args.fmt)
     # checked before the report is opened, so bad input writes nothing
     check_scan_args(args.n_max, mode=mode, m=args.m, n_min=args.n_min)
+    if mode == "fixed_M":
+        check_report_digits(args.n_max, args.m)
     failed = []
 
     def rows():

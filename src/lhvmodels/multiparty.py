@@ -17,26 +17,34 @@ for k >= i (zero for k < i, and 1 when k = i = N).
 Mixing the protocols with weights p_i chosen so that
 sum_i p_i q_i(k) = eta^(N-k) (1-eta)^k at eta = N/((N-1)M+1) makes the
 mixture indistinguishable from independent detectors of efficiency eta.
-The weights follow from a triangular linear system (:func:`solve_weights`),
-or equivalently from an M-independent recursion for the rescaled sequence
-r_k (:func:`recursion_r`); positivity of every r_k certifies positive
-weights for *all* M at once (:func:`positivity_scan`).
+The weights follow from an M-independent recursion for the rescaled
+sequence r_k (:func:`recursion_r`, rescaled by :func:`mixture_from_recursion`
+in O(N) steps), or equivalently from a triangular linear system
+(:func:`solve_weights`, O(N^2) rational operations); positivity of every r_k
+certifies positive weights for *all* M at once (:func:`positivity_scan`).
+The CLI's ``solve`` and ``scan`` run the recursion; the triangular solve is
+the independent oracle that :class:`MultipartyModel` and the tests compare
+it with.
 
 Everything in this combinatorial layer uses exact rational arithmetic
 end-to-end — no stable floating-point evaluation of the recursion is known,
 and the positivity question is precisely about signs of tiny values.  The
 recursion runs fraction-free, as a first-order recurrence on plain Python
-integers; results are returned as :class:`fractions.Fraction`.
+integers (:func:`_recursion_pairs`); the positivity scan compares its
+terms as integer pairs, and results are returned as
+:class:`fractions.Fraction`.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import comb
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -201,16 +209,23 @@ def recursion_r(n: int) -> list[Fraction]:
     if n < 2:
         raise DomainError(f"need N >= 2, got {n}")
     r = [Fraction(1)]
+    r += [Fraction(p, den) for p, den in _recursion_pairs(n)]
+    r.append(Fraction(n - 1, n) ** n)
+    return r
+
+
+def _recursion_pairs(n: int) -> Iterator[tuple[int, int]]:
+    """The pairs (P_k, k! N^k) for k = 1..N-1, with r_k = P_k / (k! N^k):
+    the integer recurrence of :func:`recursion_r`, unreduced.  The second
+    entry is always positive, so sign(r_k) = sign(P_k)."""
     p = 1  # P_k
     d = n  # D_(k-1)
     den = 1  # k! N^k
     for k in range(1, n):
         p = (-d if k % 2 else d) + k * n * p
         den *= k * n
-        r.append(Fraction(p, den))
+        yield p, den
         d *= n - k
-    r.append(Fraction(n - 1, n) ** n)
-    return r
 
 
 # ---------------------------------------------------------------------------
@@ -320,27 +335,74 @@ def solve_weights(n: int, m: int) -> ProtocolMixture:
 
 
 def mixture_from_recursion(n: int, m: int) -> ProtocolMixture:
-    """Mixture weights rebuilt from the M-independent recursion.
+    """Mixture weights rebuilt from the M-independent recursion, in O(N)
+    rational operations: the route of ``lhv multiparty solve`` and
+    ``scan --mode fixed``.
 
     Un-normalized weights are t_k = ((M-1)/M)^k r_k for k < N and
     t_N = ((M-1)/M)^N M r_N (the all-silent row's extra factor M, see
-    :class:`ProtocolMixture`); normalizing gives the p_i.  Agrees exactly
-    with :func:`solve_weights` — the two constructions are independent
-    oracles for each other.
+    :class:`ProtocolMixture`); normalizing gives the p_i.  Row 0 of the
+    triangular system, p_0 = eta^N M^(N-1), is checked exactly and a
+    violation raises :class:`ConsistencyError`.  Agrees exactly with
+    :func:`solve_weights` — the two constructions are independent oracles
+    for each other.
     """
     n, m = int(n), int(m)
     if m < 2:
         raise DomainError(f"need M >= 2, got {m}")
     r = recursion_r(n)
+    eta = eta_multiparty(n, m)
     scale = Fraction(m - 1, m)
     t = {0: Fraction(1)}
     for k in range(2, n + 1):
         t[k] = scale**k * r[k] * (m if k == n else 1)
     total = sum(t.values(), Fraction(0))
     weights = {i: v / total for i, v in t.items()}
-    return ProtocolMixture(
-        n, m, eta_multiparty(n, m), weights, tuple(r)
-    )
+    if weights[0] != eta**n * m ** (n - 1):
+        raise ConsistencyError(
+            f"recursion route for (N={n}, M={m}) gives p_0 = {weights[0]}, "
+            f"not eta^N M^(N-1)"
+        )
+    return ProtocolMixture(n, m, eta, weights, tuple(r))
+
+
+def check_report_digits(n: int, m: int) -> None:
+    """Raise :class:`SizeGuardExceeded` before any arithmetic if a number
+    of the mixture for (N, M) could have more decimal digits than Python
+    renders (``sys.get_int_max_str_digits()``, 0 for no limit).
+
+    Every numerator and denominator of eta, of the weights and of the
+    r_k is at most Q^N, with Q = (N-1)M + 1, and at M = 2 the denominator
+    of p_0 equals it:
+
+    * eta = N/Q, and p_0 = eta^N M^(N-1) = N^N M^(N-1) / Q^N;
+    * r_k N^k = C(N,k) (N-k) S_k is an integer for k < N: with S_k the
+      sum of :func:`recursion_r`, the coefficient of each term,
+      C(N,k) (N-k)/(N-j) C(k,j) = C(N,j) C(N-j-1, k-j), is an integer;
+    * so p_k = ((M-1)/M)^k r_k p_0 = (M-1)^k M^(N-1-k) N^(N-k) (r_k N^k)
+      / Q^N for k < N, and p_N = ((M-1)(N-1))^N / Q^N: every weight is an
+      integer over Q^N, at most 1;
+    * r_k = (M/(M-1))^k p_k / p_0 <= Q^N M^(k+1-N) / ((M-1)^k N^N), so the
+      numerator of r_k, at most r_k N^k, is at most Q^N / N; r_N =
+      (N-1)^N / N^N.
+
+    Q^N has more than L digits exactly when Q^N >= 10^L.  That comparison
+    is made on logarithms, and on integers only within a digit of the
+    limit, where both sides have about L digits.
+    """
+    eta_multiparty(n, m)  # DomainError outside N >= 2, M >= 2
+    n, m = int(n), int(m)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    q = (n - 1) * m + 1
+    digits = n * math.log10(q)
+    if not limit or digits < limit - 1:
+        return
+    if digits > limit + 1 or q**n >= 10**limit:
+        raise SizeGuardExceeded(
+            f"the exact weights for N={n}, M={m} would need about "
+            f"{int(digits) + 1} decimal digits, over Python's limit of "
+            f"{limit} (see sys.set_int_max_str_digits); lower N"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -395,10 +457,15 @@ def positivity_scan(
 
     ``mode="all_M_via_r"`` checks r_k >= 0 for all k via the recursion;
     since every weight is a positive multiple of its r_k, this certifies
-    positive mixtures for *every* M >= 2 at once.  Its row's minimum is
-    always r_1 = 0 at k = 1 (see :func:`recursion_r`: every other r_k is
-    positive).  ``mode="fixed_M"`` instead solves the triangular system at
-    the given M and checks the weights themselves.
+    positive mixtures for *every* M >= 2 at once.  It keeps a running
+    minimum over the integer pairs of the recurrence (see
+    :func:`_first_min`) and builds one :class:`~fractions.Fraction` per
+    row, the minimum; the row equals the first minimum of
+    :func:`recursion_r`'s list.  That minimum is always r_1 = 0 at k = 1
+    (see :func:`recursion_r`: every other r_k is positive).
+    ``mode="fixed_M"`` repeats that certificate at one M: it rescales the
+    r_k to the weights at the given M (:func:`mixture_from_recursion`) and
+    checks the weights themselves.
 
     Rows are yielded as soon as computed, so long scans can be consumed
     (and persisted) incrementally; each N is independent, making a
@@ -409,14 +476,37 @@ def positivity_scan(
     n_max, n_min = int(n_max), int(n_min)
     if mode == "all_M_via_r":
         for n in range(n_min, n_max + 1):
-            r = recursion_r(n)
-            k = min(range(n + 1), key=lambda j: r[j])
-            yield ScanRow(n, mode, r[k], k, r[k] >= 0)
+            pairs = itertools.chain(
+                [(1, 1)], _recursion_pairs(n), [((n - 1) ** n, n**n)]
+            )
+            k, p, den = _first_min(pairs)
+            yield ScanRow(n, mode, Fraction(p, den), k, p >= 0)
     else:
         for n in range(n_min, n_max + 1):
-            mixture = solve_weights(n, m)
+            mixture = mixture_from_recursion(n, m)
             i, value = mixture.min_weight()
             yield ScanRow(n, mode, value, i, value >= 0)
+
+
+def _first_min(pairs: Iterable[tuple[int, int]]) -> tuple[int, int, int]:
+    """(index, p, den) of the first smallest p/den in a non-empty sequence
+    of integer pairs with den > 0: the index that ``min`` returns over the
+    Fractions, found without building them.
+
+    Values are ordered by the sign of p first; two zeros are equal, so the
+    first is kept, and only two values of the same non-zero sign are
+    compared, exactly, by cross-multiplication.
+    """
+    it = iter(pairs)
+    best_p, best_den = next(it)
+    best, best_sign = 0, (best_p > 0) - (best_p < 0)
+    for k, (p, den) in enumerate(it, 1):
+        sign = (p > 0) - (p < 0)
+        if sign < best_sign or (
+            sign == best_sign != 0 and p * best_den < best_p * den
+        ):
+            best, best_p, best_den, best_sign = k, p, den, sign
+    return best, best_p, best_den
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +518,13 @@ class MultipartyModel:
     """Exact distribution and sampler of the protocol mixture for an
     N-party scenario with a uniform settings count M.
 
+    The mixture comes from the recursion (:func:`mixture_from_recursion`)
+    and must equal the triangular solve (:func:`solve_weights`) exactly,
+    or :class:`ConsistencyError` is raised; the size guard keeps N small
+    enough that the check costs well under a millisecond.
+
     The exact table multiplies the mixture's click-pattern probability
-    sum_i p_i q_i(k) — evaluated from the solved weights, not from the
+    sum_i p_i q_i(k) — evaluated from the weights, not from the
     eta-power form it is meant to equal — by the quantum marginal of the
     firing parties at their actual settings (silent parties traced out by
     identity substitution).  Every such marginal is a slice of the
@@ -456,7 +551,12 @@ class MultipartyModel:
         if self.m < 2:
             raise DomainError("need at least 2 settings per party")
         check_table_size(scenario)
-        self.mixture = solve_weights(self.n, self.m)
+        self.mixture = mixture_from_recursion(self.n, self.m)
+        if self.mixture != solve_weights(self.n, self.m):
+            raise ConsistencyError(
+                f"recursion and triangular solve disagree for "
+                f"(N={self.n}, M={self.m})"
+            )
         self.eta = self.mixture.eta
         self._pattern = [
             float(v) for v in self.mixture.click_probabilities().values

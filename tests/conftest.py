@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -44,3 +46,13 @@ def ghz3():
 def random23():
     """Random mixed state with 3-outcome POVMs, M_A=2, M_B=3."""
     return random_two_party_scenario(np.random.default_rng(424242))
+
+
+@pytest.fixture
+def digit_limit():
+    """Sets Python's int-to-text digit limit for one test, and restores it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-text digit limit")
+    old = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(old)

@@ -2,7 +2,8 @@
 
 Each test checks one headline guarantee end to end and records a single
 ``[ACCEPT] criterion N (...): PASS/FAIL`` line, echoed in the terminal
-summary.  Criterion 5's positivity sweep runs to N=200 by default; set
+summary.  Criterion 5's positivity sweep, which also checks the rows of
+``positivity_scan`` against it, runs to N=200 by default; set
 ``LHV_FULL_SCAN=1`` to run the full N=500 release check (about 5 s on a
 2-core Xeon under Python 3.11).
 """
@@ -25,6 +26,7 @@ from lhvmodels.dimension import run_dimension_model
 from lhvmodels.multiparty import (
     MultipartyModel,
     mixture_from_recursion,
+    positivity_scan,
     recursion_r,
     solve_weights,
 )
@@ -106,8 +108,13 @@ def test_criterion_5_positivity_scan(acceptance_log):
     with criterion(
         acceptance_log, 5, f"positivity of r_k up to N={SCAN_LIMIT}"
     ):
-        for n in range(2, SCAN_LIMIT + 1):
-            assert min(recursion_r(n)) >= 0, f"negative r_k at N={n}"
+        # the scan rows (the path of ``lhv multiparty scan``) are each N's
+        # first minimum of the recursion_r list
+        for row in positivity_scan(SCAN_LIMIT):
+            r = recursion_r(row.n)
+            k = min(range(row.n + 1), key=r.__getitem__)
+            assert r[k] >= 0, f"negative r_k at N={row.n}"
+            assert (row.min_value, row.argmin_k, row.passed) == (r[k], k, True)
         for n, m in product(range(2, 11), (2, 3)):
             assert (
                 mixture_from_recursion(n, m).weights

@@ -121,6 +121,38 @@ def test_multiparty_solve_rejects_degenerate(capsys):
     assert "lhv:" in err and "malformed scenario" not in err
 
 
+def test_multiparty_exact_reports_refuse_unrenderable_weights(
+    tmp_path, capsys, digit_limit, monkeypatch
+):
+    """Just over Python's digit limit, ``solve`` and ``scan --mode fixed``
+    exit 2 before any arithmetic and write nothing; just under it, ``solve``
+    renders."""
+    digit_limit(640)
+    n = next(n for n in range(2, 1000) if (2 * n - 1) ** n >= 10**640)
+    assert main(["multiparty", "solve", "--n", str(n - 1), "--m", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["weights"]["0"]
+    out = tmp_path / "refused.json"
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "mixture_from_recursion", None)  # never reached
+        patch.setattr(cli, "positivity_scan", None)
+        for argv in (
+            ["multiparty", "solve", "--n", str(n), "--m", "2"],
+            ["multiparty", "scan", "--mode", "fixed", "--m", "2",
+             "--n-max", str(n)],
+        ):
+            assert main(argv + ["--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and not out.exists()
+            assert captured.err.startswith("lhv: ") and "640" in captured.err
+    proc = subprocess.run(
+        [sys.executable, "-X", "int_max_str_digits=640", "-m", "lhvmodels.cli",
+         "multiparty", "solve", "--n", str(n), "--m", "2"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("lhv: ") and "Traceback" not in proc.stderr
+
+
 def test_multiparty_scan_csv_stream(tmp_path):
     out = tmp_path / "scan.csv"
     code = main(["multiparty", "scan", "--n-max", "6", "--format", "csv",

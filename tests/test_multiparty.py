@@ -9,11 +9,14 @@ from math import comb
 import numpy as np
 import pytest
 
+from lhvmodels import multiparty as multiparty_module
 from lhvmodels import quantum as quantum_module
 from lhvmodels.bounds import eta_multiparty
-from lhvmodels.errors import DomainError, SizeGuardExceeded
+from lhvmodels.errors import ConsistencyError, DomainError, SizeGuardExceeded
 from lhvmodels.multiparty import (
     MultipartyModel,
+    _first_min,
+    check_report_digits,
     mixture_from_recursion,
     positivity_scan,
     protocol_click_probabilities,
@@ -329,12 +332,90 @@ def test_solve_weights_normalize_exactly(m):
 def test_weights_agree_with_recursion_route():
     """Two independent constructions of the same mixture: the triangular
     solve at fixed M, and rescaling the M-free recursion sequence."""
-    for n, m in product(range(2, 11), (2, 3)):
+    for n, m in product(range(2, 61), (2, 3, 7)):
         direct = solve_weights(n, m)
         via_r = mixture_from_recursion(n, m)
         assert direct.weights == via_r.weights
         assert direct.r_sequence == via_r.r_sequence
         assert direct.eta == via_r.eta
+
+
+def _perturbed_recursion(monkeypatch, changes):
+    """Replace ``recursion_r`` (as ``mixture_from_recursion`` looks it up)
+    by the true sequence with ``changes[k]`` added to r_k."""
+    true_r = recursion_r
+
+    def perturbed(n):
+        r = true_r(n)
+        for k, delta in changes.items():
+            r[k] += delta
+        return r
+
+    monkeypatch.setattr(multiparty_module, "recursion_r", perturbed)
+
+
+@pytest.mark.parametrize("n, m", [(5, 3), (60, 2), (60, 7), (120, 3)])
+def test_recursion_route_checks_row_zero(n, m, monkeypatch):
+    """p_0 = eta^N M^(N-1) holds on the true sequence; a wrong r_k changes
+    the normalization, so row 0 fails."""
+    mixture = mixture_from_recursion(n, m)
+    assert mixture.weights[0] == mixture.eta**n * m ** (n - 1)
+    _perturbed_recursion(monkeypatch, {2: Fraction(1, 7)})
+    with pytest.raises(ConsistencyError, match="p_0"):
+        mixture_from_recursion(n, m)
+
+
+def test_model_checks_recursion_against_triangular_solve(ghz3, monkeypatch):
+    """The model raises when its two routes disagree: on a sequence that
+    fails row 0, and on one that keeps the normalization (at N = 3, M = 2,
+    t_2 = r_2/4 and t_3 = r_3/4) and so passes row 0."""
+    with monkeypatch.context() as patch:
+        _perturbed_recursion(patch, {2: Fraction(1, 7)})
+        with pytest.raises(ConsistencyError):
+            MultipartyModel(ghz3)
+    _perturbed_recursion(monkeypatch, {2: Fraction(1, 30), 3: -Fraction(1, 30)})
+    assert mixture_from_recursion(3, 2).weights != solve_weights(3, 2).weights
+    with pytest.raises(ConsistencyError, match="disagree"):
+        MultipartyModel(ghz3)
+
+
+@pytest.mark.parametrize("m", [2, 3, 7, 12])
+def test_report_numbers_are_bounded_by_q_to_the_n(m):
+    """Every numerator and denominator that ``solve`` reports is at most
+    Q^N, Q = (N-1)M + 1 (see ``check_report_digits``); at M = 2 the
+    denominator of p_0 is Q^N itself, so the bound is attained."""
+    for n in range(2, 61):
+        mixture = mixture_from_recursion(n, m)
+        bound = ((n - 1) * m + 1) ** n
+        values = [mixture.eta, *mixture.weights.values(), *mixture.r_sequence]
+        assert max(max(abs(v.numerator), v.denominator) for v in values) <= bound
+        if m == 2:
+            assert mixture.weights[0].denominator == bound
+
+
+def test_report_digit_guard_just_over_the_limit(digit_limit):
+    """At M = 2 the guard refuses exactly the first N whose p_0
+    denominator (2N - 1)^N cannot be rendered."""
+    digit_limit(640)  # the smallest limit Python accepts
+    n = next(n for n in range(2, 1000) if (2 * n - 1) ** n >= 10**640)
+    check_report_digits(n - 1, 2)
+    str(mixture_from_recursion(n - 1, 2).weights[0].denominator)
+    with pytest.raises(SizeGuardExceeded, match="640"):
+        check_report_digits(n, 2)
+    with pytest.raises(ValueError):
+        str(mixture_from_recursion(n, 2).weights[0].denominator)
+    # far past the limit, on logarithms alone
+    with pytest.raises(SizeGuardExceeded):
+        check_report_digits(10**12, 10**6)
+    digit_limit(0)  # no limit: nothing is refused
+    check_report_digits(10**12, 10**6)
+
+
+def test_report_digit_guard_checks_the_domain():
+    with pytest.raises(DomainError):
+        check_report_digits(1, 2)
+    with pytest.raises(DomainError):
+        check_report_digits(5, 1)
 
 
 def test_mixture_click_ratios_are_constant():
@@ -363,6 +444,40 @@ def test_scan_streams_rows_in_order():
     assert all(row.passed for row in rows)
     # r_1 = 0 is always the minimum of the sequence
     assert all(row.min_value == 0 and row.argmin_k == 1 for row in rows)
+
+
+def test_scan_rows_match_recursion_minimum():
+    """The sign-first scan reports each N's first minimum of the
+    ``recursion_r`` list, as ``min`` over the Fractions finds it."""
+    rows = list(positivity_scan(60))
+    assert [row.n for row in rows] == list(range(2, 61))
+    for row in rows:
+        r = recursion_r(row.n)
+        k = min(range(row.n + 1), key=r.__getitem__)
+        assert (row.min_value, row.argmin_k, row.passed) == (r[k], k, r[k] >= 0)
+        assert type(row.min_value) is Fraction
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [(3, 4)],
+        [(1, 1), (-1, 2), (-2, 3), (0, 1)],  # negatives: the smallest wins
+        [(3, 4), (-2, 4), (-1, 2), (-3, 6), (-1, 3)],  # equal negatives
+        [(5, 2), (1, 3), (2, 6), (7, 1), (1, 4)],  # no zero
+        [(5, 2), (1, 3), (2, 6), (7, 1)],  # equal positives: the first
+        [(1, 1), (0, 5), (2, 3), (0, 1), (0, 7)],  # several zeros
+        [(0, 1), (0, 2), (-1, 100), (-1, 100)],  # a negative after zeros
+        [(2, 1), (-5, 3), (0, 1), (-10, 6), (-7, 5)],
+    ],
+)
+def test_first_min_matches_min_over_fractions(pairs):
+    """The running minimum of the scan, on hand-made sequences: real
+    recursions reach neither a negative nor a second zero."""
+    values = [Fraction(p, den) for p, den in pairs]
+    k = min(range(len(values)), key=values.__getitem__)
+    assert _first_min(pairs) == (k, *pairs[k])
+    assert _first_min(iter(pairs)) == (k, *pairs[k])
 
 
 def test_scan_fixed_settings_mode():
