@@ -15,10 +15,10 @@ Subcommands
     with ``--samples``.
 ``lhv multiparty solve | scan | verify``
     Exact mixture weights for one (N, M), from the O(N) recursion; the
-    streaming positivity scan, on the recursion's integers; the exact
-    N-party model against the eta-extended quantum distribution.  The
-    exact reports are refused (exit 2) where a number would have more
-    digits than Python renders.
+    streaming positivity scan of the recursion's r_k, on its integers,
+    which certifies every M at once; the exact N-party model against the
+    eta-extended quantum distribution.  A ``solve`` report is refused
+    (exit 2) where a number would have more digits than Python renders.
 ``lhv dim-model verify``
     Monte Carlo run of the dimension-dependent model, counted in chunks of
     at most ``dimension.CHUNK_BYTES`` of normals and products, so memory
@@ -448,14 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_scan.add_argument("--n-max", type=int, required=True)
     p_scan.add_argument("--n-min", type=int, default=2)
-    p_scan.add_argument(
-        "--mode",
-        choices=("r", "fixed"),
-        default="r",
-        help="r: all M at once via the recursion; fixed: repeats r's "
-        "certificate at one M, checking the weights at --m",
-    )
-    p_scan.add_argument("--m", type=int, help="settings count for --mode fixed")
     p_multi_verify = multi_sub.add_parser(
         "verify",
         parents=[common],
@@ -649,29 +641,19 @@ def _cmd_multiparty_solve(args) -> int:
     return 0
 
 
-def _cmd_multiparty_scan(args, parser) -> int:
-    mode = "all_M_via_r" if args.mode == "r" else "fixed_M"
-    if mode == "fixed_M" and args.m is None:
-        parser.error("multiparty scan --mode fixed needs --m")
-    params = {
-        "n_min": args.n_min,
-        "n_max": args.n_max,
-        "mode": args.mode,
-    }
-    if mode == "fixed_M":
-        params["m"] = args.m
+def _cmd_multiparty_scan(args) -> int:
+    # the report names its one scan: the r_k, certifying all M at once
+    params = {"n_min": args.n_min, "n_max": args.n_max, "mode": "r"}
     config = RunConfig("multiparty scan", params, None, args.out, args.fmt)
     # checked before the report is opened, so bad input writes nothing
-    check_scan_args(args.n_max, mode=mode, m=args.m, n_min=args.n_min)
-    if mode == "fixed_M":
-        check_report_digits(args.n_max, args.m)
+    check_scan_args(args.n_max, n_min=args.n_min)
     failed = []
 
     def rows():
-        for row in positivity_scan(args.n_max, mode=mode, m=args.m, n_min=args.n_min):
+        for row in positivity_scan(args.n_max, n_min=args.n_min):
             if not row.passed:
                 failed.append(row.n)
-            yield row.n, row.mode, row.min_value, row.argmin_k, row.passed
+            yield row.n, "all_M_via_r", row.min_value, row.argmin_k, row.passed
 
     _write_report(
         config, None, ("n", "mode", "min_value", "argmin_k", "pass"), rows()
@@ -771,7 +753,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             if args.subcommand == "solve":
                 return _cmd_multiparty_solve(args)
             if args.subcommand == "scan":
-                return _cmd_multiparty_scan(args, parser)
+                return _cmd_multiparty_scan(args)
             return _cmd_multiparty_verify(args)
         if args.command == "dim-model":
             return _cmd_dim_model_verify(args)

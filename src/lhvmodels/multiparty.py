@@ -22,9 +22,9 @@ sequence r_k (:func:`recursion_r`, rescaled by :func:`mixture_from_recursion`
 in O(N) steps), or equivalently from a triangular linear system
 (:func:`solve_weights`, O(N^2) rational operations); positivity of every r_k
 certifies positive weights for *all* M at once (:func:`positivity_scan`).
-The CLI's ``solve`` and ``scan`` run the recursion; the triangular solve is
-the independent oracle that :class:`MultipartyModel` and the tests compare
-it with.
+The CLI's ``solve`` rescales the recursion at one M and its ``scan`` reads
+the recursion's signs; the triangular solve is the independent oracle that
+:class:`MultipartyModel` and the tests compare it with.
 
 Everything in this combinatorial layer uses exact rational arithmetic
 end-to-end — no stable floating-point evaluation of the recursion is known,
@@ -267,11 +267,6 @@ class ProtocolMixture:
             self, "r_sequence", tuple(Fraction(v) for v in self.r_sequence)
         )
 
-    def min_weight(self) -> tuple[int, Fraction]:
-        """(index, value) of the smallest mixture weight."""
-        i = min(self.weights, key=lambda j: self.weights[j])
-        return i, self.weights[i]
-
     def click_probabilities(self) -> ClickPatternProbabilities:
         """The mixture's pattern row sum_i p_i q_i(k), exactly."""
         values = tuple(
@@ -306,7 +301,8 @@ def solve_weights(n: int, m: int) -> ProtocolMixture:
     triangular: row 0 fixes p_0 = eta^N M^(N-1), rows k >= 2 give each
     p_k by forward substitution, and row 1 — which contains no p_1, the
     family having no single-silent protocol — must hold identically at
-    this eta.  It is verified exactly and a violation raises
+    this eta.  It is verified exactly, as is the weights' sum of 1 (by
+    :class:`ProtocolMixture`), and a violation raises
     :class:`ConsistencyError` (that would be an arithmetic bug, not a
     property of the inputs).
     """
@@ -326,18 +322,12 @@ def solve_weights(n: int, m: int) -> ProtocolMixture:
             Fraction(0),
         )
         weights[k] = (rhs - acc) / q_i_k(n, m, k, k)
-    total = sum(weights.values(), Fraction(0))
-    if total != 1:
-        raise ConsistencyError(
-            f"triangular solve for (N={n}, M={m}) gives total weight {total}"
-        )
     return ProtocolMixture(n, m, eta, weights, _r_from_weights(n, m, weights))
 
 
 def mixture_from_recursion(n: int, m: int) -> ProtocolMixture:
     """Mixture weights rebuilt from the M-independent recursion, in O(N)
-    rational operations: the route of ``lhv multiparty solve`` and
-    ``scan --mode fixed``.
+    rational operations: the route of ``lhv multiparty solve``.
 
     Un-normalized weights are t_k = ((M-1)/M)^k r_k for k < N and
     t_N = ((M-1)/M)^N M r_N (the all-silent row's extra factor M, see
@@ -412,23 +402,16 @@ def check_report_digits(n: int, m: int) -> None:
 
 @dataclass(frozen=True)
 class ScanRow:
-    """One N of the positivity scan: the minimum value (an r_k, or a
-    mixture weight in fixed-M mode), where it occurs, and whether it is
-    non-negative."""
+    """One N of the positivity scan: the minimum r_k, the k where it first
+    occurs, and whether it is non-negative."""
 
     n: int
-    mode: str
     min_value: Fraction
     argmin_k: int
     passed: bool
 
 
-def check_scan_args(
-    n_max: int,
-    mode: str = "all_M_via_r",
-    m: int | None = None,
-    n_min: int = 2,
-) -> None:
+def check_scan_args(n_max: int, n_min: int = 2) -> None:
     """Raise :class:`DomainError` unless :func:`positivity_scan` accepts
     these arguments.
 
@@ -438,54 +421,32 @@ def check_scan_args(
     n_max, n_min = int(n_max), int(n_min)
     if n_min < 2 or n_max < n_min:
         raise DomainError(f"need 2 <= n_min <= n_max, got ({n_min}, {n_max})")
-    if mode == "fixed_M":
-        if m is None:
-            raise DomainError("fixed_M mode needs a settings count m")
-        if int(m) < 2:
-            raise DomainError(f"need at least 2 settings per party, got {m}")
-    elif mode != "all_M_via_r":
-        raise DomainError(f"unknown scan mode {mode!r}")
 
 
-def positivity_scan(
-    n_max: int,
-    mode: str = "all_M_via_r",
-    m: int | None = None,
-    n_min: int = 2,
-) -> Iterator[ScanRow]:
+def positivity_scan(n_max: int, n_min: int = 2) -> Iterator[ScanRow]:
     """Stream positivity checks for N = n_min..n_max, one row per N.
 
-    ``mode="all_M_via_r"`` checks r_k >= 0 for all k via the recursion;
-    since every weight is a positive multiple of its r_k, this certifies
-    positive mixtures for *every* M >= 2 at once.  It keeps a running
-    minimum over the integer pairs of the recurrence (see
-    :func:`_first_min`) and builds one :class:`~fractions.Fraction` per
-    row, the minimum; the row equals the first minimum of
-    :func:`recursion_r`'s list.  That minimum is always r_1 = 0 at k = 1
-    (see :func:`recursion_r`: every other r_k is positive).
-    ``mode="fixed_M"`` repeats that certificate at one M: it rescales the
-    r_k to the weights at the given M (:func:`mixture_from_recursion`) and
-    checks the weights themselves.
+    Each row checks r_k >= 0 for all k via the recursion; since every
+    weight is a positive multiple of its r_k, this certifies positive
+    mixtures for *every* M >= 2 at once.  It keeps a running minimum over
+    the integer pairs of the recurrence (see :func:`_first_min`) and
+    builds one :class:`~fractions.Fraction` per row, the minimum; the row
+    equals the first minimum of :func:`recursion_r`'s list.  That minimum
+    is always r_1 = 0 at k = 1 (see :func:`recursion_r`: every other r_k
+    is positive).
 
     Rows are yielded as soon as computed, so long scans can be consumed
     (and persisted) incrementally; each N is independent, making a
     restart from the last reported N possible.  Bad arguments raise at the
     first row (see :func:`check_scan_args`).
     """
-    check_scan_args(n_max, mode, m, n_min)
-    n_max, n_min = int(n_max), int(n_min)
-    if mode == "all_M_via_r":
-        for n in range(n_min, n_max + 1):
-            pairs = itertools.chain(
-                [(1, 1)], _recursion_pairs(n), [((n - 1) ** n, n**n)]
-            )
-            k, p, den = _first_min(pairs)
-            yield ScanRow(n, mode, Fraction(p, den), k, p >= 0)
-    else:
-        for n in range(n_min, n_max + 1):
-            mixture = mixture_from_recursion(n, m)
-            i, value = mixture.min_weight()
-            yield ScanRow(n, mode, value, i, value >= 0)
+    check_scan_args(n_max, n_min)
+    for n in range(int(n_min), int(n_max) + 1):
+        pairs = itertools.chain(
+            [(1, 1)], _recursion_pairs(n), [((n - 1) ** n, n**n)]
+        )
+        k, p, den = _first_min(pairs)
+        yield ScanRow(n, Fraction(p, den), k, p >= 0)
 
 
 def _first_min(pairs: Iterable[tuple[int, int]]) -> tuple[int, int, int]:

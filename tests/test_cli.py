@@ -124,26 +124,19 @@ def test_multiparty_solve_rejects_degenerate(capsys):
 def test_multiparty_exact_reports_refuse_unrenderable_weights(
     tmp_path, capsys, digit_limit, monkeypatch
 ):
-    """Just over Python's digit limit, ``solve`` and ``scan --mode fixed``
-    exit 2 before any arithmetic and write nothing; just under it, ``solve``
-    renders."""
+    """Just over Python's digit limit, ``solve`` exits 2 before any
+    arithmetic and writes nothing; just under it, it renders."""
     digit_limit(640)
     n = next(n for n in range(2, 1000) if (2 * n - 1) ** n >= 10**640)
     assert main(["multiparty", "solve", "--n", str(n - 1), "--m", "2"]) == 0
     assert json.loads(capsys.readouterr().out)["weights"]["0"]
     out = tmp_path / "refused.json"
-    with monkeypatch.context() as patch:
-        patch.setattr(cli, "mixture_from_recursion", None)  # never reached
-        patch.setattr(cli, "positivity_scan", None)
-        for argv in (
-            ["multiparty", "solve", "--n", str(n), "--m", "2"],
-            ["multiparty", "scan", "--mode", "fixed", "--m", "2",
-             "--n-max", str(n)],
-        ):
-            assert main(argv + ["--out", str(out)]) == 2
-            captured = capsys.readouterr()
-            assert captured.out == "" and not out.exists()
-            assert captured.err.startswith("lhv: ") and "640" in captured.err
+    monkeypatch.setattr(cli, "mixture_from_recursion", None)  # never reached
+    assert main(["multiparty", "solve", "--n", str(n), "--m", "2",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("lhv: ") and "640" in captured.err
     proc = subprocess.run(
         [sys.executable, "-X", "int_max_str_digits=640", "-m", "lhvmodels.cli",
          "multiparty", "solve", "--n", str(n), "--m", "2"],
@@ -167,14 +160,14 @@ def test_multiparty_scan_csv_stream(tmp_path):
 
 
 def test_multiparty_scan_ndjson(capsys):
-    assert main(["multiparty", "scan", "--n-max", "4", "--mode", "fixed",
-                 "--m", "2"]) == 0
+    assert main(["multiparty", "scan", "--n-max", "4"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     head = json.loads(lines[0])
-    assert head["config"]["mode"] == "fixed"
+    assert head["config"]["mode"] == "r"
     rows = [json.loads(l) for l in lines[1:]]
     assert [r["n"] for r in rows] == [2, 3, 4]
-    assert rows[0]["min_value"] == "1/9"
+    assert all(r["mode"] == "all_M_via_r" for r in rows)
+    assert rows[0]["min_value"] == "0/1"
     assert all(r["pass"] for r in rows)
 
 
@@ -185,7 +178,6 @@ def test_multiparty_scan_ndjson(capsys):
         ["--n-max", "1"],
         ["--n-max", "5", "--n-min", "1"],
         ["--n-max", "3", "--n-min", "4"],
-        ["--n-max", "5", "--mode", "fixed", "--m", "1"],
     ],
 )
 def test_multiparty_scan_bad_arguments_write_nothing(tmp_path, capsys, bad, fmt):
@@ -197,6 +189,19 @@ def test_multiparty_scan_bad_arguments_write_nothing(tmp_path, capsys, bad, fmt)
     assert captured.out == ""
     assert "lhv:" in captured.err
     assert not out.exists()
+
+
+def test_multiparty_scan_has_no_fixed_mode(tmp_path, capsys):
+    """The scan of the r_k certifies every M at once; there is no per-M
+    mode, and asking for one is a usage error that writes nothing."""
+    out = tmp_path / "scan.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["multiparty", "scan", "--n-max", "5", "--mode", "fixed",
+              "--m", "3", "--out", str(out)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert "unrecognized arguments: --mode fixed --m 3" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -535,7 +540,6 @@ def _layout_cases(chsh_file, ghz_file, wide_files):
          "--bound-mode", "exact_from_delta"],
         ["multiparty", "solve", "--n", "4", "--m", "3"],
         ["multiparty", "scan", "--n-max", "6"],
-        ["multiparty", "scan", "--n-max", "5", "--mode", "fixed", "--m", "3"],
         ["two-party", "verify", "--scenario", chsh_file],
         ["two-party", "verify", "--scenario", chsh_file, "--samples", "2000",
          "--seed", "3"],
@@ -758,7 +762,7 @@ def test_multiparty_scan_flushes_each_row(tmp_path, monkeypatch, fmt):
     seen = []
 
     def scan(n_max, **kwargs):
-        yield ScanRow(2, "all_M_via_r", Fraction(0), 1, True)
+        yield ScanRow(2, Fraction(0), 1, True)
         seen.append(out.read_text(encoding="utf-8"))
         raise RuntimeError("scan interrupted")
 

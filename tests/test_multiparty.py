@@ -331,11 +331,13 @@ def test_solve_weights_normalize_exactly(m):
 
 def test_weights_agree_with_recursion_route():
     """Two independent constructions of the same mixture: the triangular
-    solve at fixed M, and rescaling the M-free recursion sequence."""
+    solve at fixed M, and rescaling the M-free recursion sequence.  Its
+    weights are positive at each M, as the scan of the r_k certifies."""
     for n, m in product(range(2, 61), (2, 3, 7)):
         direct = solve_weights(n, m)
         via_r = mixture_from_recursion(n, m)
         assert direct.weights == via_r.weights
+        assert all(p > 0 for p in direct.weights.values())
         assert direct.r_sequence == via_r.r_sequence
         assert direct.eta == via_r.eta
 
@@ -440,7 +442,6 @@ def test_mixture_click_probabilities_match_independent_detectors():
 def test_scan_streams_rows_in_order():
     rows = list(positivity_scan(6))
     assert [row.n for row in rows] == [2, 3, 4, 5, 6]
-    assert all(row.mode == "all_M_via_r" for row in rows)
     assert all(row.passed for row in rows)
     # r_1 = 0 is always the minimum of the sequence
     assert all(row.min_value == 0 and row.argmin_k == 1 for row in rows)
@@ -480,17 +481,11 @@ def test_first_min_matches_min_over_fractions(pairs):
     assert _first_min(iter(pairs)) == (k, *pairs[k])
 
 
-def test_scan_fixed_settings_mode():
-    rows = list(positivity_scan(4, mode="fixed_M", m=3, n_min=2))
-    assert rows[0].min_value == Fraction(1, 4)
-    assert all(row.passed for row in rows)
-
-
 def test_scan_rejects_bad_arguments():
     with pytest.raises(DomainError):
-        list(positivity_scan(5, mode="fixed_M"))  # needs m
+        list(positivity_scan(5, n_min=1))
     with pytest.raises(DomainError):
-        list(positivity_scan(5, mode="nope"))
+        list(positivity_scan(3, n_min=4))
 
 
 # ---------------------------------------------------------------------------
