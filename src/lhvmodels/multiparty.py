@@ -41,7 +41,6 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from math import comb
 from typing import Iterable, Iterator, Mapping
@@ -53,9 +52,9 @@ from .errors import ConsistencyError, DomainError, SizeGuardExceeded
 from .quantum import (
     OutcomeDistribution,
     Scenario,
-    all_marginals,
     check_table_size,
-    split_settings,
+    party_marginals,
+    subset_joint_table,
 )
 
 # ---------------------------------------------------------------------------
@@ -488,11 +487,11 @@ class MultipartyModel:
     sum_i p_i q_i(k) — evaluated from the weights, not from the
     eta-power form it is meant to equal — by the quantum marginal of the
     firing parties at their actual settings (silent parties traced out by
-    identity substitution).  Every such marginal is a slice of the
-    identity rows of one contraction (:func:`~lhvmodels.quantum.
-    all_marginals`), built on first use; the eta-extended quantum table
-    instead sums click blocks, so comparing the two checks the linear
-    system and the marginal structure at once by independent routes.
+    identity substitution).  Every such marginal is a view of the
+    identity rows of the scenario's one contraction (:func:`~lhvmodels.
+    quantum.party_marginals`); the eta-extended quantum table instead
+    sums click blocks, so comparing the two checks the linear system and
+    the marginal structure at once by independent routes.
 
     The size guard (:func:`~lhvmodels.quantum.check_table_size`) bounds
     the exact table, M^N prod_p (A_p + 1) entries, which also bounds the
@@ -524,24 +523,6 @@ class MultipartyModel:
         ]
         self._sizes = scenario.n_outcomes
 
-    @cached_property
-    def _marginals(self) -> np.ndarray:
-        return all_marginals(self.scenario)
-
-    def _subset_table(
-        self, parties: tuple[int, ...], settings: tuple[int, ...]
-    ) -> np.ndarray:
-        """The quantum marginal of ``parties`` (increasing) at
-        ``settings``, axes in party order: a read-only view."""
-        chosen = dict(zip(parties, settings))
-        index = tuple(
-            slice(chosen[p] * a, (chosen[p] + 1) * a)
-            if p in chosen
-            else -1
-            for p, a in enumerate(self._sizes)
-        )
-        return self._marginals[index]
-
     def _special_table(
         self,
         choice: tuple[int, ...],
@@ -557,7 +538,7 @@ class MultipartyModel:
             choice[p] if p == special else guess_settings[guessers.index(p)]
             for p in parties
         )
-        table = self._subset_table(parties, settings)
+        table = subset_joint_table(self.scenario, parties, settings)
         return np.moveaxis(table, parties.index(special), -1)
 
     # ------------------------------------------------------------------
@@ -583,10 +564,7 @@ class MultipartyModel:
             if not firing:
                 probs[(Ellipsis,) + cell] = weight
                 continue
-            rows = self._marginals[
-                tuple(-1 if silent[p] else slice(-1) for p in range(n))
-            ]
-            marg = split_settings(rows, [m] * len(firing))
+            marg = party_marginals(self.scenario, firing)
             shape = [1 if silent[p] else m for p in range(n)]
             probs[(Ellipsis,) + cell] = weight * marg.reshape(
                 shape + [sizes[p] for p in firing]
@@ -659,7 +637,9 @@ class MultipartyModel:
         of every party's response distribution)."""
         n, sizes = self.n, self._sizes
         if guessers:
-            guess_marg = self._subset_table(guessers, guess_settings)
+            guess_marg = subset_joint_table(
+                self.scenario, guessers, guess_settings
+            )
         else:
             guess_marg = np.ones(())
         joint = self._special_table(choice, special, guessers, guess_settings)
@@ -725,7 +705,7 @@ class MultipartyModel:
             int(x) for x in rng.integers(self.m, size=len(guessers))
         )
         if guessers:
-            marg = self._subset_table(guessers, guess_settings)
+            marg = subset_joint_table(self.scenario, guessers, guess_settings)
             flat = np.clip(marg.reshape(-1), 0.0, None)
             flat = flat / flat.sum()
             guessed = np.unravel_index(

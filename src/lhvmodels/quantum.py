@@ -11,9 +11,11 @@ gains a "no click" outcome and a pattern with k silent detectors occurs
 with probability eta^(N-k) (1-eta)^k times the quantum marginal on the
 firing set.
 
-Every quantum table of a scenario is a slice of one contraction
-(:func:`all_marginals`): joint tables in its all-click corner, marginals in
-its identity rows.
+Every quantum table of a scenario is read from one contraction
+(:func:`all_marginals`), made once per scenario and cached on it: joint
+tables in its all-click corner, marginals in its identity rows.  The table
+accessors return read-only views of it, and only this module knows its
+index layout.
 
 Outcome tables (:class:`OutcomeDistribution`) are dense float64 arrays,
 settings axes first and then one outcome axis per party.  Outcomes are the
@@ -40,6 +42,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -435,12 +438,12 @@ class Scenario:
     def n_parties(self) -> int:
         return len(self.settings)
 
-    @property
+    @cached_property
     def n_settings(self) -> tuple[int, ...]:
         """Number of settings per party (M_1, ..., M_N)."""
         return tuple(len(per_party) for per_party in self.settings)
 
-    @property
+    @cached_property
     def n_outcomes(self) -> tuple[int, ...]:
         """Number of outcomes per party (A_1, ..., A_N), the same for all
         of a party's settings."""
@@ -449,6 +452,22 @@ class Scenario:
     def settings_choices(self) -> Iterable[tuple[int, ...]]:
         """All joint setting choices, in lexicographic order."""
         return itertools.product(*(range(m) for m in self.n_settings))
+
+    @cached_property
+    def _contraction(self) -> np.ndarray:
+        """The array of :func:`all_marginals`, contracted on first use:
+        each party's stack holds the POVM elements of all its settings,
+        then the identity."""
+        stacks = [
+            np.stack(
+                [e for povm in per_party for e in povm.elements]
+                + [np.eye(d, dtype=complex)]
+            )
+            for per_party, d in zip(self.settings, self.state.dims)
+        ]
+        table = _stacked_tables(self.state, stacks)
+        table.setflags(write=False)
+        return table
 
 
 def check_table_size(scenario: Scenario) -> None:
@@ -501,76 +520,73 @@ def _stacked_tables(
 
 
 def all_marginals(scenario: Scenario) -> np.ndarray:
-    """Every quantum table of a scenario, from one contraction.
+    """Every quantum table of a scenario, from one contraction, computed
+    on first use and cached on the scenario.
 
     Party p's axis has ``M_p * A_p + 1`` entries: index ``x * A_p + a``
     is outcome position ``a`` of setting ``x``, and the last index
     substitutes the identity, tracing party p out.  So the all-click
     corner holds every joint table, and fixing some parties at the last
-    index gives the marginal of the others.  The array is read-only.
+    index gives the marginal of the others.  The array is read-only;
+    :func:`party_marginals`, :func:`subset_joint_table` and
+    :func:`joint_outcome_table` return views of it, and
+    :func:`quantum_distribution` copies one.
     """
-    stacks = [
-        np.stack(
-            [e for povm in per_party for e in povm.elements]
-            + [np.eye(d, dtype=complex)]
+    return scenario._contraction
+
+
+def party_marginals(scenario: Scenario, parties: Iterable[int]) -> np.ndarray:
+    """The quantum marginal of ``parties`` (strictly increasing) at every
+    settings choice of theirs, the others traced out: a read-only view of
+    :func:`all_marginals` with shape ``(M_p..., A_p...)`` over the listed
+    parties, settings axes first and then outcome axes, each in the order
+    of ``parties``.
+    """
+    parties = [int(p) for p in parties]
+    n, k = scenario.n_parties, len(parties)
+    if sorted(set(parties)) != parties or not all(0 <= p < n for p in parties):
+        raise DomainError(
+            f"parties must be strictly increasing within 0..{n - 1}, got {parties}"
         )
-        for per_party, d in zip(scenario.settings, scenario.state.dims)
+    m, a = scenario.n_settings, scenario.n_outcomes
+    rows = all_marginals(scenario)[
+        tuple(slice(-1) if p in parties else -1 for p in range(n)) + (Ellipsis,)
     ]
-    table = _stacked_tables(scenario.state, stacks)
-    table.setflags(write=False)
-    return table
-
-
-def joint_outcome_table(
-    scenario: Scenario, settings: Sequence[int]
-) -> np.ndarray:
-    """Joint click probabilities at one settings choice.
-
-    Returns an array of shape ``(n_outcomes_1, ..., n_outcomes_N)`` indexed
-    by outcome positions.
-    """
-    ops = []
-    for p, x in enumerate(settings):
-        if not 0 <= int(x) < scenario.n_settings[p]:
-            raise DomainError(
-                f"setting {x} out of range for party {p} "
-                f"(has {scenario.n_settings[p]})"
-            )
-        ops.append(np.stack(scenario.settings[p][int(x)].elements))
-    return _stacked_tables(scenario.state, ops)
+    split = rows.reshape([size for p in parties for size in (m[p], a[p])])
+    return split.transpose([*range(0, 2 * k, 2), *range(1, 2 * k, 2)])
 
 
 def subset_joint_table(
     scenario: Scenario, parties: Sequence[int], settings: Sequence[int]
 ) -> np.ndarray:
-    """Marginal outcome table of a subset of parties.
+    """Marginal outcome table of a subset of parties at one settings
+    choice of theirs: a read-only view of :func:`all_marginals`.
 
     The remaining parties are traced out by substituting the identity for
     their measurement operators, so the result does not depend on any
-    setting choice for them.  ``parties`` must be strictly increasing;
-    ``settings[j]`` is the setting of ``parties[j]``.  The returned axes
-    follow the order of ``parties``.
+    setting choice for them.  ``parties`` must be strictly increasing
+    within 0..N-1; ``settings[j]`` is the setting of ``parties[j]``.  The
+    returned axes follow the order of ``parties``.
     """
-    parties = list(parties)
-    if sorted(set(parties)) != parties:
-        raise DomainError(f"parties must be strictly increasing, got {parties}")
+    table = party_marginals(scenario, parties)
     if len(settings) != len(parties):
-        raise DomainError("need one setting per listed party")
-    chosen = dict(zip(parties, settings))
-    ops = []
-    for p in range(scenario.n_parties):
-        if p in chosen:
-            x = int(chosen[p])
-            if not 0 <= x < scenario.n_settings[p]:
-                raise DomainError(f"setting {x} out of range for party {p}")
-            ops.append(np.stack(scenario.settings[p][x].elements))
-        else:
-            ops.append(np.eye(scenario.state.dims[p], dtype=complex)[None, :, :])
-    table = _stacked_tables(scenario.state, ops)
-    # squeeze the dummy axes of the traced-out parties
-    keep = set(parties)
-    drop = tuple(p for p in range(scenario.n_parties) if p not in keep)
-    return np.squeeze(table, axis=drop)
+        raise DomainError(
+            f"need one setting per listed party ({len(parties)}), "
+            f"got {len(settings)}"
+        )
+    for p, x, m in zip(parties, settings, table.shape):
+        if not 0 <= int(x) < m:
+            raise DomainError(f"setting {x} out of range for party {p} (has {m})")
+    return table[tuple(int(x) for x in settings)]
+
+
+def joint_outcome_table(
+    scenario: Scenario, settings: Sequence[int]
+) -> np.ndarray:
+    """Joint click probabilities at one settings choice: a read-only array
+    of shape ``(n_outcomes_1, ..., n_outcomes_N)`` indexed by outcome
+    positions."""
+    return subset_joint_table(scenario, range(scenario.n_parties), settings)
 
 
 # ---------------------------------------------------------------------------
@@ -692,25 +708,12 @@ class OutcomeDistribution:
         return clicked / np.reshape(totals, totals.shape + (1,) * n)
 
 
-def split_settings(table: np.ndarray, n_settings: Sequence[int]) -> np.ndarray:
-    """View a table whose axis p runs over ``x * A_p + a`` (setting x,
-    outcome position a, as in :func:`all_marginals`) with the settings
-    axes first and the outcome axes after them."""
-    n = len(n_settings)
-    split = table.reshape(
-        [k for m, size in zip(n_settings, table.shape) for k in (m, size // m)]
-    )
-    return split.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
-
-
 def quantum_distribution(scenario: Scenario) -> OutcomeDistribution:
     """The full click-only outcome table of a scenario, for every settings
-    choice, as an :class:`OutcomeDistribution`: the all-click
-    corner of :func:`all_marginals`, with each party's axis split into
-    (setting, outcome)."""
-    corner = all_marginals(scenario)[(slice(-1),) * scenario.n_parties]
+    choice, as an :class:`OutcomeDistribution`: the marginal of all
+    parties (:func:`party_marginals`)."""
     return OutcomeDistribution(
-        split_settings(corner, scenario.n_settings), silent=False
+        party_marginals(scenario, range(scenario.n_parties)), silent=False
     )
 
 

@@ -390,6 +390,28 @@ def test_multiparty_verify_passes(ghz_file, capsys):
     assert report["n"] == 3
 
 
+@pytest.mark.parametrize("command, scenario_file", [
+    ("two-party", "chsh_file"),
+    ("multiparty", "ghz_file"),
+])
+def test_verify_contracts_the_state_once(
+    command, scenario_file, request, monkeypatch, capsys
+):
+    # a scenario freshly loaded from its file, so no cached contraction
+    calls = []
+    contract = quantum._stacked_tables
+
+    def counted(*args):
+        calls.append(args)
+        return contract(*args)
+
+    monkeypatch.setattr(quantum, "_stacked_tables", counted)
+    path = request.getfixturevalue(scenario_file)
+    assert main([command, "verify", "--scenario", path]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
+    assert len(calls) == 1
+
+
 def test_dim_model_verify_report(capsys):
     code = main(["dim-model", "verify", "--d", "2", "--delta", "0.5236",
                  "--samples", "4000", "--seed", "31"])

@@ -30,6 +30,7 @@ from lhvmodels.quantum import (
     load_scenario,
     maximally_entangled,
     outcome_labels,
+    party_marginals,
     projective_povm,
     quantum_distribution,
     refine_to_rank_one,
@@ -300,9 +301,28 @@ def test_distribution_blocks_sum_to_one(chsh):
         assert abs(dist.block(choice).sum() - 1.0) < TOL
 
 
+def _kron_table(scenario, parties, settings):
+    """Tr((E_1 (x) ... (x) E_N) rho) cell by cell with ``np.kron``, the
+    identity standing in for every party not listed; axes follow
+    ``parties``."""
+    rho = scenario.state.density()
+    chosen = dict(zip(parties, settings))
+    ops = [
+        scenario.settings[p][chosen[p]].elements if p in chosen else (np.eye(d),)
+        for p, d in enumerate(scenario.state.dims)
+    ]
+    out = np.empty([len(o) for o in ops])
+    for cell in np.ndindex(out.shape):
+        op = ops[0][cell[0]]
+        for p in range(1, len(ops)):
+            op = np.kron(op, ops[p][cell[p]])
+        out[cell] = np.trace(op @ rho).real
+    return out.reshape([out.shape[p] for p in parties])
+
+
 def _marginal_slices(scenario):
-    """Every (parties, settings) pair with its slice of all_marginals and
-    the table subset_joint_table gives for it."""
+    """Every (parties, settings) pair with its slice of all_marginals, the
+    view subset_joint_table gives for it, and the kron trace."""
     table = all_marginals(scenario)
     n = scenario.n_parties
     sizes = scenario.n_outcomes
@@ -322,28 +342,34 @@ def _marginal_slices(scenario):
                     settings,
                     table[index],
                     subset_joint_table(scenario, parties, settings),
+                    _kron_table(scenario, parties, settings),
                 )
 
 
-@pytest.mark.parametrize("case", ["ghz3", "ghz4", "ghz5", "random23"])
-def test_all_marginals_match_per_call_tables(case, random23):
-    scenario = random23 if case == "random23" else ghz_scenario(int(case[-1]))
+@pytest.mark.parametrize("case", ["ghz3", "ghz4", "ghz5", "random23", "chsh"])
+def test_all_marginals_match_per_call_tables(case, random23, chsh):
+    fixtures = {"random23": random23, "chsh": chsh}
+    scenario = fixtures[case] if case in fixtures else ghz_scenario(int(case[-1]))
     table = all_marginals(scenario)
     assert table.shape == tuple(
         m * a + 1 for m, a in zip(scenario.n_settings, scenario.n_outcomes)
     )
     assert not table.flags.writeable
+    assert all_marginals(scenario) is table  # contracted once per scenario
     assert abs(table[(-1,) * scenario.n_parties] - 1.0) < 1e-15
     zeros = 0
-    for parties, settings, got, want in _marginal_slices(scenario):
-        assert got.shape == want.shape
+    for parties, settings, got, view, want in _marginal_slices(scenario):
+        assert got.shape == view.shape == want.shape
+        assert np.shares_memory(view, table) and not view.flags.writeable
+        assert np.array_equal(view, got), (parties, settings)
         assert np.max(np.abs(got - want)) <= 1e-15, (parties, settings)
         # cells that cancel exactly, such as the forbidden GHZ outcomes
-        assert np.all(got[want == 0.0] == 0.0), (parties, settings)
-        zeros += int(np.count_nonzero(want == 0.0))
+        vanishing = np.abs(want) < 1e-12
+        assert np.all(got[vanishing] == 0.0), (parties, settings)
+        zeros += int(np.count_nonzero(vanishing))
         if len(parties) == scenario.n_parties:
             joint = joint_outcome_table(scenario, settings)
-            assert np.max(np.abs(got - joint)) <= 1e-15, settings
+            assert np.array_equal(joint, got), settings
     assert (zeros > 0) == case.startswith("ghz")
 
 
@@ -351,12 +377,47 @@ def test_all_marginals_match_per_call_tables(case, random23):
 def test_quantum_distribution_matches_per_choice_loop(case, chsh, random23):
     scenario = chsh if case == "chsh" else random23
     want = np.empty(scenario.n_settings + scenario.n_outcomes)
+    parties = range(scenario.n_parties)
     for choice in scenario.settings_choices():
-        want[choice] = joint_outcome_table(scenario, choice)
+        want[choice] = _kron_table(scenario, parties, choice)
     dist = quantum_distribution(scenario)
     assert not dist.silent
     assert dist.probs.shape == want.shape
     assert np.max(np.abs(dist.probs - want)) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s: joint_outcome_table(s, (0,)),
+        lambda s: joint_outcome_table(s, (0, 1, 1)),
+        lambda s: joint_outcome_table(s, (0, 2)),
+        lambda s: joint_outcome_table(s, (-1, 0)),
+        lambda s: subset_joint_table(s, [0, 5], [0, 0]),
+        lambda s: subset_joint_table(s, [-1, 0], [0, 0]),
+        lambda s: subset_joint_table(s, [1, 0], [0, 0]),
+        lambda s: subset_joint_table(s, [0, 0], [0, 0]),
+        lambda s: subset_joint_table(s, [0], [0, 0]),
+        lambda s: subset_joint_table(s, [1], [2]),
+        lambda s: party_marginals(s, [2]),
+    ],
+    ids=[
+        "joint-one-setting",
+        "joint-three-settings",
+        "joint-setting-too-large",
+        "joint-negative-setting",
+        "subset-party-too-large",
+        "subset-negative-party",
+        "subset-decreasing",
+        "subset-repeated",
+        "subset-settings-count",
+        "subset-setting-too-large",
+        "marginals-party-too-large",
+    ],
+)
+def test_table_accessors_reject_malformed_input(call, chsh):
+    with pytest.raises(DomainError):
+        call(chsh)
 
 
 # ---------------------------------------------------------------------------
