@@ -54,7 +54,7 @@ from .quantum import (
     Scenario,
     check_table_size,
     party_marginals,
-    subset_joint_table,
+    settings_index,
 )
 
 # ---------------------------------------------------------------------------
@@ -489,13 +489,14 @@ class MultipartyModel:
     firing parties at their actual settings (silent parties traced out by
     identity substitution).  Every such marginal is a view of the
     identity rows of the scenario's one contraction (:func:`~lhvmodels.
-    quantum.party_marginals`); the eta-extended quantum table instead
-    sums click blocks, so comparing the two checks the linear system and
-    the marginal structure at once by independent routes.
+    quantum.party_marginals`), which the sampler and the enumeration
+    oracle index too; the eta-extended quantum table instead sums click
+    blocks, so comparing the two checks the linear system and the
+    marginal structure at once by independent routes.
 
     The size guard (:func:`~lhvmodels.quantum.check_table_size`) bounds
-    the exact table, M^N prod_p (A_p + 1) entries, which also bounds the
-    contraction's prod_p (M A_p + 1) entries.
+    the exact table, M^N prod_p (A_p + 1) entries, and the largest step
+    of the contraction before any table is built.
     """
 
     def __init__(self, scenario: Scenario):
@@ -522,6 +523,9 @@ class MultipartyModel:
             float(v) for v in self.mixture.click_probabilities().values
         ]
         self._sizes = scenario.n_outcomes
+        self._protocols = sorted(self.mixture.weights)
+        weights = np.array([float(self.mixture.weights[i]) for i in self._protocols])
+        self._protocol_probs = weights / weights.sum()
 
     def _special_table(
         self,
@@ -538,7 +542,7 @@ class MultipartyModel:
             choice[p] if p == special else guess_settings[guessers.index(p)]
             for p in parties
         )
-        table = subset_joint_table(self.scenario, parties, settings)
+        table = party_marginals(self.scenario, parties)[settings]
         return np.moveaxis(table, parties.index(special), -1)
 
     # ------------------------------------------------------------------
@@ -637,9 +641,7 @@ class MultipartyModel:
         of every party's response distribution)."""
         n, sizes = self.n, self._sizes
         if guessers:
-            guess_marg = subset_joint_table(
-                self.scenario, guessers, guess_settings
-            )
+            guess_marg = party_marginals(self.scenario, guessers)[guess_settings]
         else:
             guess_marg = np.ones(())
         joint = self._special_table(choice, special, guessers, guess_settings)
@@ -674,26 +676,22 @@ class MultipartyModel:
     # sampling
     # ------------------------------------------------------------------
 
-    def _choice(self, settings: tuple[int, ...]) -> tuple[int, ...]:
-        """``settings`` as ints, or :class:`DomainError` if out of range."""
-        choice = tuple(int(x) for x in settings)
-        if len(choice) != self.n or any(
-            not 0 <= x < self.m for x in choice
-        ):
-            raise DomainError(f"settings {settings} out of range")
-        return choice
-
     def sample(
         self, settings: tuple[int, ...], rng: np.random.Generator
     ) -> tuple[int, ...]:
         """One draw: pick a protocol, a forced subset, a special party,
         guessed settings and outcomes, then each party answers from its own
         setting and the hidden variable alone.  Returns outcome positions,
-        with -1 for a silent party."""
-        choice = self._choice(settings)
-        indices = sorted(self.mixture.weights)
-        probs = np.array([float(self.mixture.weights[i]) for i in indices])
-        i = indices[int(rng.choice(len(indices), p=probs / probs.sum()))]
+        with -1 for a silent party; settings that are not one in-range
+        setting per party raise :class:`DomainError` before the draw."""
+        return self._draw(settings_index(settings, self.scenario.n_settings), rng)
+
+    def _draw(
+        self, choice: tuple[int, ...], rng: np.random.Generator
+    ) -> tuple[int, ...]:
+        """:meth:`sample` at a settings choice already checked."""
+        protocols = self._protocols
+        i = protocols[int(rng.choice(len(protocols), p=self._protocol_probs))]
         forced = tuple(sorted(rng.choice(self.n, size=i, replace=False)))
         rest = [p for p in range(self.n) if p not in forced]
         outcomes = [-1] * self.n
@@ -705,7 +703,7 @@ class MultipartyModel:
             int(x) for x in rng.integers(self.m, size=len(guessers))
         )
         if guessers:
-            marg = subset_joint_table(self.scenario, guessers, guess_settings)
+            marg = party_marginals(self.scenario, guessers)[guess_settings]
             flat = np.clip(marg.reshape(-1), 0.0, None)
             flat = flat / flat.sum()
             guessed = np.unravel_index(
@@ -729,13 +727,14 @@ class MultipartyModel:
     ) -> np.ndarray:
         """Count ``n_draws`` draws of :meth:`sample` at one settings choice
         into an int64 array laid out as a block of :meth:`exact_distribution`
-        (silent outcome last); bad settings or ``n_draws < 0`` raise before
-        any draw."""
-        self._choice(settings)
+        (silent outcome last).  Settings that are not one in-range setting
+        per party (:func:`~lhvmodels.quantum.settings_index`), or
+        ``n_draws < 0``, raise :class:`DomainError` before any draw."""
+        choice = settings_index(settings, self.scenario.n_settings)
         if n_draws < 0:
             raise DomainError(f"need n_draws >= 0, got n_draws={n_draws}")
         counts = np.zeros([a + 1 for a in self._sizes], dtype=np.int64)
         for _ in range(int(n_draws)):
             # the silent code -1 counts in the last position
-            counts[self.sample(settings, rng)] += 1
+            counts[self._draw(choice, rng)] += 1
         return counts

@@ -15,7 +15,10 @@ Every quantum table of a scenario is read from one contraction
 (:func:`all_marginals`), made once per scenario and cached on it: joint
 tables in its all-click corner, marginals in its identity rows.  The table
 accessors return read-only views of it, and only this module knows its
-index layout.
+index layout.  Each input is checked once, where it enters: a caller's
+settings choice by :func:`settings_index`, a POVM's shapes when the
+:class:`Povm` is built, and a scenario's table and contraction sizes by
+:func:`check_table_size` before a model builds any table.
 
 Outcome tables (:class:`OutcomeDistribution`) are dense float64 arrays,
 settings axes first and then one outcome axis per party.  Outcomes are the
@@ -41,6 +44,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Iterable, Iterator, Sequence
@@ -67,6 +71,9 @@ WEIGHT_SUM_TOL = 1e-8
 BLOCK_SUM_TOL = 1e-12
 #: Largest eta-extended table, in entries, that a model may build.
 MAX_TABLE_ENTRIES = 2_000_000
+#: Most bytes the largest step of a scenario's contraction may hold,
+#: counted by :func:`check_table_size` before a model builds any table.
+MAX_CONTRACTION_BYTES = 1 << 26
 #: The two-party sampler draws and counts at most this many draws at a
 #: time, so its memory does not grow with the number of samples.
 CHUNK = 1 << 16
@@ -253,9 +260,10 @@ def inverse_cdf(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
 class Povm:
     """A measurement: one positive operator per outcome, summing to identity.
 
-    Outcome ``a`` is the position of its element.  The constructor only
-    coerces shapes — use :func:`validate_povm` to check the positivity and
-    completeness invariants, which reports violations instead of raising.
+    Outcome ``a`` is the position of its element.  Elements must be square
+    and of one dimension (else :class:`StructuralError`); use
+    :func:`validate_povm` for positivity and completeness, which it
+    reports instead of raising.
     """
 
     elements: tuple[np.ndarray, ...]
@@ -264,6 +272,11 @@ class Povm:
         elements = tuple(np.asarray(e, dtype=complex) for e in self.elements)
         if not elements:
             raise StructuralError("a POVM needs at least one element")
+        shape = elements[0].shape
+        square = len(shape) == 2 and shape[0] == shape[1]
+        if not square or any(e.shape != shape for e in elements):
+            shapes = [e.shape for e in elements]
+            raise StructuralError(f"POVM elements need one square shape, got {shapes}")
         object.__setattr__(self, "elements", tuple(_readonly(e) for e in elements))
 
     @property
@@ -272,8 +285,7 @@ class Povm:
 
     @property
     def dim(self) -> int:
-        """Common matrix dimension (raises StructuralError if inconsistent)."""
-        _check_square_common(self.elements)
+        """The elements' common matrix dimension."""
         return self.elements[0].shape[0]
 
 
@@ -301,34 +313,18 @@ class PovmValidationReport:
     worst_deviation: float
 
 
-def _check_square_common(elements: Sequence[np.ndarray]) -> int:
-    d = None
-    for e in elements:
-        if e.ndim != 2 or e.shape[0] != e.shape[1]:
-            raise StructuralError(f"POVM element has shape {e.shape}, not square")
-        if d is None:
-            d = e.shape[0]
-        elif e.shape[0] != d:
-            raise StructuralError(
-                f"POVM elements mix dimensions {d} and {e.shape[0]}"
-            )
-    return int(d)
-
-
 def validate_povm(p: Povm) -> PovmValidationReport:
     """Check positivity of each element and completeness of their sum.
 
     Returns a report naming the first failed invariant and its worst-case
-    deviation.  Structural problems (non-square or mixed-dimension elements)
-    raise :class:`StructuralError` instead, since the invariants are not even
-    well posed for them.
+    deviation.  The shapes the invariants need (square elements of one
+    dimension) are checked when the :class:`Povm` is built.
     """
-    d = _check_square_common(p.elements)
     lowest = [np.linalg.eigvalsh((e + e.conj().T) / 2.0).min() for e in p.elements]
-    return _povm_report(p, d, lowest)
+    return _povm_report(p, lowest)
 
 
-def _povm_report(p: Povm, d: int, lowest: Sequence[float]) -> PovmValidationReport:
+def _povm_report(p: Povm, lowest: Sequence[float]) -> PovmValidationReport:
     """:func:`validate_povm`'s report, given the smallest eigenvalue of
     each element's Hermitian part."""
     pos_dev = 0.0
@@ -336,7 +332,7 @@ def _povm_report(p: Povm, d: int, lowest: Sequence[float]) -> PovmValidationRepo
         herm = float(np.max(np.abs(e - e.conj().T)))
         pos_dev = max(pos_dev, herm, -float(low))
     total = sum(p.elements)
-    comp_dev = float(np.max(np.abs(total - np.eye(d))))
+    comp_dev = float(np.max(np.abs(total - np.eye(p.dim))))
     if pos_dev > POVM_TOL:
         return PovmValidationReport(False, "positivity", pos_dev)
     if comp_dev > POVM_TOL:
@@ -359,7 +355,6 @@ def refine_to_rank_one(p: Povm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     :func:`validate_povm`, its positivity taken from the same
     eigendecompositions.
     """
-    d = _check_square_common(p.elements)
     weights, directions, parents, lowest = [], [], [], []
     for label, e in enumerate(p.elements):
         w, vecs = np.linalg.eigh((e + e.conj().T) / 2.0)
@@ -368,17 +363,17 @@ def refine_to_rank_one(p: Povm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         weights.append(w[keep])
         directions.append(vecs[:, keep].T)
         parents.append(np.full(int(keep.sum()), label))
-    report = _povm_report(p, d, lowest)
+    report = _povm_report(p, lowest)
     if not report.ok:
         raise InvariantViolation(
             f"cannot refine invalid POVM ({report.failed_invariant} violated "
             f"by {report.worst_deviation:.3e})"
         )
     weights = np.concatenate(weights)
-    if abs(weights.sum() - d) > WEIGHT_SUM_TOL:
+    if abs(weights.sum() - p.dim) > WEIGHT_SUM_TOL:
         raise InvariantViolation(
             f"rank-one weights sum to {weights.sum()!r}, expected the "
-            f"dimension {d} (within {WEIGHT_SUM_TOL})"
+            f"dimension {p.dim} (within {WEIGHT_SUM_TOL})"
         )
     return weights, np.concatenate(directions), np.concatenate(parents)
 
@@ -470,17 +465,48 @@ class Scenario:
         return table
 
 
+def settings_index(
+    settings: Iterable[int], n_settings: Sequence[int]
+) -> tuple[int, ...]:
+    """A caller's settings choice as an index: one int per count in the
+    tuple ``n_settings``, each in range, or :class:`DomainError`."""
+    try:
+        choice = tuple(map(operator.index, settings))
+    except TypeError:  # not iterable, or not integers
+        choice = ()
+    whole = len(choice) == len(n_settings)
+    if not (whole and all(0 <= x < m for x, m in zip(choice, n_settings))):
+        raise DomainError(f"settings {settings!r} out of range for counts {n_settings}")
+    return choice
+
+
 def check_table_size(scenario: Scenario) -> None:
     """Raise :class:`SizeGuardExceeded` if the scenario's eta-extended
-    table, prod_p M_p (A_p + 1) entries, exceeds :data:`MAX_TABLE_ENTRIES`."""
-    entries = math.prod(
-        m * (a + 1)
-        for m, a in zip(scenario.n_settings, scenario.n_outcomes)
-    )
+    table, prod_p M_p (A_p + 1) entries, exceeds :data:`MAX_TABLE_ENTRIES`,
+    or the largest step of its contraction :data:`MAX_CONTRACTION_BYTES`.
+
+    Step p of :func:`_stacked_tables` writes (prod_{q>=p} d_q)^2
+    prod_{q<=p} (M_q A_q + 1) complex entries beside the density tensor's
+    (prod_q d_q)^2, so a small table can still need a large contraction.
+    """
+    m, a, dims = scenario.n_settings, scenario.n_outcomes, scenario.state.dims
+    entries = math.prod(mp * (ap + 1) for mp, ap in zip(m, a))
     if entries > MAX_TABLE_ENTRIES:
         raise SizeGuardExceeded(
             f"exact table would hold {entries} entries "
             f"(limit {MAX_TABLE_ENTRIES}); reduce parties, settings, or outcomes"
+        )
+    stacks = [mp * ap + 1 for mp, ap in zip(m, a)]
+    step = max(
+        math.prod(dims[p:]) ** 2 * math.prod(stacks[: p + 1])
+        for p in range(len(dims))
+    )
+    size = 16 * (math.prod(dims) ** 2 + step)  # complex128 entries
+    if size > MAX_CONTRACTION_BYTES:
+        raise SizeGuardExceeded(
+            f"the quantum table's contraction would hold {size} bytes at "
+            f"its largest step (limit {MAX_CONTRACTION_BYTES}); reduce the "
+            "local dimensions, settings, or outcomes"
         )
 
 
@@ -569,15 +595,7 @@ def subset_joint_table(
     returned axes follow the order of ``parties``.
     """
     table = party_marginals(scenario, parties)
-    if len(settings) != len(parties):
-        raise DomainError(
-            f"need one setting per listed party ({len(parties)}), "
-            f"got {len(settings)}"
-        )
-    for p, x, m in zip(parties, settings, table.shape):
-        if not 0 <= int(x) < m:
-            raise DomainError(f"setting {x} out of range for party {p} (has {m})")
-    return table[tuple(int(x) for x in settings)]
+    return table[settings_index(settings, table.shape[: table.ndim // 2])]
 
 
 def joint_outcome_table(
@@ -673,11 +691,7 @@ class OutcomeDistribution:
 
     def block(self, settings: Sequence[int]) -> np.ndarray:
         """The read-only outcome array ``probs[s]`` at one settings choice."""
-        s = tuple(int(x) for x in settings)
-        shape = self.probs.shape[: self.n_parties]
-        if len(s) != len(shape) or not all(0 <= x < m for x, m in zip(s, shape)):
-            raise DomainError(f"no entries for settings {tuple(settings)}")
-        return self.probs[s]
+        return self.probs[settings_index(settings, self.probs.shape[: self.n_parties])]
 
     @property
     def table(self) -> dict[tuple[tuple[int, ...], tuple[int, ...]], float]:

@@ -29,6 +29,7 @@ in the partner's conditional).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
@@ -36,7 +37,7 @@ from typing import Iterator
 import numpy as np
 
 from .bounds import SymmetrizationSolution, solve_symmetrization
-from .errors import DomainError
+from .errors import DomainError, SizeGuardExceeded
 from .quantum import (
     OutcomeDistribution,
     Scenario,
@@ -45,11 +46,14 @@ from .quantum import (
     inverse_cdf,
     joint_outcome_table,
     sequential_sum,
+    settings_index,
     subset_joint_table,
 )
 
 #: Marginal probabilities at or below this are treated as zero support.
 SUPPORT_CUTOFF = 1e-15
+#: Most table cells times hidden values the enumeration oracle may sum.
+MAX_ENUMERATION_TERMS = 1_000_000
 
 
 def _sum_over_others(t: np.ndarray, axis: int) -> np.ndarray:
@@ -99,8 +103,8 @@ class TwoPartyModel:
     """Exact builder and seeded sampler for the two-party local model.
 
     The size guard (:func:`~lhvmodels.quantum.check_table_size`) bounds
-    the exact table, M_A M_B (A+1)(B+1) entries, before any quantum table
-    is built.
+    the exact table, M_A M_B (A+1)(B+1) entries, and the contraction's
+    largest step before any quantum table is built.
     """
 
     def __init__(self, scenario: Scenario):
@@ -236,10 +240,22 @@ class TwoPartyModel:
 
         Slower than :meth:`exact_distribution` but makes the locality
         structure explicit: every term is an outer product of the two
-        single-party response distributions.
+        single-party response distributions.  Its cost is the table's
+        cells times the 1 + M_A A + M_B B hidden values, and
+        :class:`SizeGuardExceeded` is raised, before any work, where that
+        exceeds :data:`MAX_ENUMERATION_TERMS`.
         """
+        shape = (self.m_a, self.m_b, self.n_a + 1, self.n_b + 1)
+        terms = math.prod(shape) * (
+            1 + self.m_a * self.n_a + self.m_b * self.n_b
+        )
+        if terms > MAX_ENUMERATION_TERMS:
+            raise SizeGuardExceeded(
+                f"hidden-variable enumeration would sum {terms} cell terms "
+                f"(limit {MAX_ENUMERATION_TERMS}); it is for small cross-checks"
+            )
         lams = list(self.enumerate_hidden_variables())
-        probs = np.zeros((self.m_a, self.m_b, self.n_a + 1, self.n_b + 1))
+        probs = np.zeros(shape)
         for x in range(self.m_a):
             for y in range(self.m_b):
                 block = np.zeros((self.n_a + 1, self.n_b + 1))
@@ -275,7 +291,8 @@ class TwoPartyModel:
         Returns an ``(n, 2)`` integer array of outcome positions, with -1
         encoding the silent outcome.  The draw order is fixed (gate, role,
         guessed setting, guessed outcome, partner response — one uniform
-        each per sample), so a fixed seed reproduces the transcript.
+        each per sample), so a fixed seed reproduces the transcript.  Bad
+        settings or ``n < 0`` raise :class:`DomainError` before any draw.
 
         All five uniform rows are drawn for every draw, but the table
         lookups run only for draws that proceed, and each of those looks
@@ -287,9 +304,7 @@ class TwoPartyModel:
         does.  Above one chunk that is a different transcript from one
         call of ``n``: each call draws its own ``(5, c)`` block.
         """
-        x, y = int(settings[0]), int(settings[1])
-        if not (0 <= x < self.m_a and 0 <= y < self.m_b):
-            raise DomainError(f"settings {settings} out of range")
+        x, y = settings_index(settings, (self.m_a, self.m_b))
         if n < 0:
             raise DomainError(f"need n >= 0 draws, got n={n}")
         marg_a, marg_b, cond_b, cond_a = self._sampler_tables

@@ -301,6 +301,30 @@ def test_two_party_verify_size_guard(tmp_path, capsys, monkeypatch, chsh_file):
     assert not out.exists()
 
 
+def test_two_party_verify_contraction_guard(tmp_path, capsys, monkeypatch):
+    """A 135 KB file of a pure state at d = 40 a side, with a table of 18
+    entries: its contraction would hold 64 * 40^4 bytes at its first step,
+    so the guard refuses it before any table is built."""
+    half = np.diag([1.0] * 20 + [0.0] * 20)
+    povm = quantum.Povm((half, np.eye(40) - half))
+    scenario = quantum.Scenario(quantum.maximally_entangled(40), ([povm], [povm, povm]))
+    path = tmp_path / "d40.json"
+    path.write_text(json.dumps(scenario_to_json(scenario)), encoding="utf-8")
+
+    def refuse(*_):
+        raise AssertionError("contraction built past the size guard")
+
+    monkeypatch.setattr(quantum, "_stacked_tables", refuse)
+    out = tmp_path / "r.json"
+    argv = ["two-party", "verify", "--scenario", str(path), "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("lhv: the quantum table's contraction")
+    assert f"{64 * 40**4} bytes" in captured.err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -543,8 +543,13 @@ def test_model_size_guard(monkeypatch):
     big = ghz_scenario(9)  # 2^9 3^9 = 10,077,696 entries
     with pytest.raises(SizeGuardExceeded):
         MultipartyModel(big)
-    # a raised limit admits it
     monkeypatch.setattr(quantum_module, "MAX_TABLE_ENTRIES", 20_000_000)
+    # its contraction's last step holds 2^2 5^9 complex entries beside
+    # the (2^9)^2 of the density tensor: 129,194,304 bytes
+    with pytest.raises(SizeGuardExceeded, match="129194304 bytes"):
+        MultipartyModel(big)
+    # raised limits admit it
+    monkeypatch.setattr(quantum_module, "MAX_CONTRACTION_BYTES", 129_194_304)
     MultipartyModel(big)
 
 
@@ -588,7 +593,9 @@ def test_multiparty_sample_many_rejects_bad_settings_before_drawing(ghz3, n_draw
     model = MultipartyModel(ghz3)
     rng = np.random.default_rng(3)
     state = rng.bit_generator.state
-    for bad in ((9, 9, 9), (0, 2, 0), (0, 0, -1), (0, 0)):
+    for bad in ((9, 9, 9), (0, 2, 0), (0, 0, -1), (0, 0), (0, 0, 0, 0)):
         with pytest.raises(DomainError, match="out of range"):
             model.sample_many(bad, n_draws, rng)
+        with pytest.raises(DomainError, match="out of range"):
+            model.sample(bad, rng)
     assert rng.bit_generator.state == state

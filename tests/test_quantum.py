@@ -13,15 +13,18 @@ from lhvmodels.errors import (
     DomainError,
     InvariantViolation,
     ScenarioFormatError,
+    SizeGuardExceeded,
     StructuralError,
 )
 from lhvmodels.presets import computational_povm, ghz_scenario, random_povm
 from lhvmodels.quantum import (
+    MAX_CONTRACTION_BYTES,
     all_marginals,
     OutcomeDistribution,
     Povm,
     QuantumState,
     Scenario,
+    check_table_size,
     extend_with_inefficiency,
     ghz_state,
     haar_random_state,
@@ -36,6 +39,7 @@ from lhvmodels.quantum import (
     refine_to_rank_one,
     scenario_from_json,
     scenario_to_json,
+    settings_index,
     subset_joint_table,
     validate_povm,
 )
@@ -174,10 +178,18 @@ def test_validate_povm_flags_positivity():
 
 
 def test_validate_povm_rejects_bad_shapes():
-    with pytest.raises(StructuralError):
-        validate_povm(Povm((np.zeros((2, 3)),)))
-    with pytest.raises(StructuralError):
-        validate_povm(Povm((np.eye(2), np.eye(3))))
+    # the shapes are checked when the POVM is built, before any validation
+    for elements in (
+        (np.zeros((2, 3)),),
+        (np.eye(2), np.eye(3)),
+        (np.eye(2), np.zeros((2, 3))),
+        (np.ones(2),),
+        (np.ones((2, 2, 2)),),
+        (),
+    ):
+        with pytest.raises(StructuralError):
+            Povm(elements)
+    assert Povm((np.eye(3) / 2, np.eye(3) / 2)).dim == 3
 
 
 def test_projective_povm_elements():
@@ -393,12 +405,15 @@ def test_quantum_distribution_matches_per_choice_loop(case, chsh, random23):
         lambda s: joint_outcome_table(s, (0, 1, 1)),
         lambda s: joint_outcome_table(s, (0, 2)),
         lambda s: joint_outcome_table(s, (-1, 0)),
+        lambda s: joint_outcome_table(s, (0, 0.5)),
         lambda s: subset_joint_table(s, [0, 5], [0, 0]),
         lambda s: subset_joint_table(s, [-1, 0], [0, 0]),
         lambda s: subset_joint_table(s, [1, 0], [0, 0]),
         lambda s: subset_joint_table(s, [0, 0], [0, 0]),
         lambda s: subset_joint_table(s, [0], [0, 0]),
         lambda s: subset_joint_table(s, [1], [2]),
+        lambda s: subset_joint_table(s, [0, 1], [0, -1]),
+        lambda s: subset_joint_table(s, [0, 1], [0, 0, 0]),
         lambda s: party_marginals(s, [2]),
     ],
     ids=[
@@ -406,18 +421,53 @@ def test_quantum_distribution_matches_per_choice_loop(case, chsh, random23):
         "joint-three-settings",
         "joint-setting-too-large",
         "joint-negative-setting",
+        "joint-non-integer-setting",
         "subset-party-too-large",
         "subset-negative-party",
         "subset-decreasing",
         "subset-repeated",
         "subset-settings-count",
         "subset-setting-too-large",
+        "subset-negative-setting",
+        "subset-too-many-settings",
         "marginals-party-too-large",
     ],
 )
 def test_table_accessors_reject_malformed_input(call, chsh):
     with pytest.raises(DomainError):
         call(chsh)
+
+
+def test_settings_index_is_the_one_settings_check():
+    assert settings_index([1, np.int64(0)], (2, 3)) == (1, 0)
+    assert all(type(x) is int for x in settings_index((np.int64(1), 2), (2, 3)))
+    counts = r"out of range for counts \(2, 3\)"
+    for bad in ((1,), (1, 0, 0), (2, 0), (0, 3), (-1, 0), (0, 1.0), ("0", 0), 5):
+        with pytest.raises(DomainError, match=counts):
+            settings_index(bad, (2, 3))
+    with pytest.raises(DomainError, match=r"settings \(0, 3\) out of range"):
+        settings_index((0, 3), (2, 3))
+
+
+def _contraction_scenario(d):
+    """Two parties of dimension d, 1 and 2 settings of one 2-outcome POVM:
+    a table of 18 entries, and a contraction whose largest step (the
+    first) holds 3 d^4 complex entries beside the d^4 of the density
+    tensor, 64 d^4 bytes."""
+    half = np.diag([1.0] * (d // 2) + [0.0] * (d - d // 2))
+    povm = Povm((half, np.eye(d) - half))
+    return Scenario(maximally_entangled(d), ([povm], [povm, povm]))
+
+
+def test_contraction_guard_just_over_the_limit():
+    # 64 * 32^4 is the limit exactly; d = 33 is the first d over it
+    assert 64 * 32**4 == MAX_CONTRACTION_BYTES < 64 * 33**4
+    at_limit, over = _contraction_scenario(32), _contraction_scenario(33)
+    check_table_size(at_limit)
+    with pytest.raises(SizeGuardExceeded, match=f"{64 * 33**4} bytes"):
+        check_table_size(over)
+    # the guard's arithmetic builds nothing
+    assert "_contraction" not in vars(at_limit) and "_contraction" not in vars(over)
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +539,8 @@ def test_distribution_checks_shape_range_and_settings():
     assert block.shape == (2, 3) and not block.flags.writeable
     assert np.shares_memory(block, dist.probs)
     np.testing.assert_array_equal(block, dist.probs[1, 3])
-    for bad in ((2, 0), (0, 4), (0, -1), (0,), (0, 0, 0)):
-        with pytest.raises(DomainError):
+    for bad in ((2, 0), (0, 4), (0, -1), (-1, 0), (0,), (0, 0, 0), (0, 1.5)):
+        with pytest.raises(DomainError, match=r"counts \(2, 4\)"):
             dist.block(bad)
     assert not dist.probs.flags.writeable
 
@@ -588,6 +638,11 @@ def test_scenario_json_rejects_bad_entries(chsh):
     broken["state"]["data"][0] = "oops"
     with pytest.raises(ScenarioFormatError):
         scenario_from_json(broken)
+    # a 1 x 2 element: refused where the POVM is built, naming its place
+    ragged = json.loads(json.dumps(blob))
+    ragged["settings"][1][0][1] = ragged["settings"][1][0][1][:1]
+    with pytest.raises(ScenarioFormatError, match="party 1 setting 0: POVM elements"):
+        scenario_from_json(ragged)
 
 
 def test_scenario_json_rejects_invalid_state(chsh):

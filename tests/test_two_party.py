@@ -82,6 +82,21 @@ def test_hidden_variable_enumeration_agrees(chsh, random23):
         assert report.passed, report.worst_cell
 
 
+def test_hidden_variable_enumeration_size_guard(chsh, monkeypatch):
+    # CHSH: 2 * 2 * 3 * 3 = 36 cells times 1 + 2 * 2 + 2 * 2 = 9 hidden values
+    model = TwoPartyModel(chsh)
+    monkeypatch.setattr("lhvmodels.two_party.MAX_ENUMERATION_TERMS", 324)
+    model.distribution_by_hidden_enumeration()
+
+    def refuse():
+        raise AssertionError("hidden values enumerated past the size guard")
+
+    monkeypatch.setattr(model, "enumerate_hidden_variables", refuse)
+    monkeypatch.setattr("lhvmodels.two_party.MAX_ENUMERATION_TERMS", 323)
+    with pytest.raises(SizeGuardExceeded, match="324 cell terms"):
+        model.distribution_by_hidden_enumeration()
+
+
 def test_hidden_variable_weights_normalize(chsh):
     model = TwoPartyModel(chsh)
     total = sum(w for w, _ in model.enumerate_hidden_variables())
@@ -155,8 +170,10 @@ def test_sampler_rejects_bad_arguments_before_drawing(chsh):
     state = rng.bit_generator.state
     with pytest.raises(DomainError, match="n=-1"):
         model.sample_many((0, 0), -1, rng)
-    with pytest.raises(DomainError, match="out of range"):
-        model.sample_many((2, 0), 5, rng)
+    # too few settings, too many, one out of range, a negative one
+    for bad in ((0,), (0, 0, 7), (2, 0), (0, -1)):
+        with pytest.raises(DomainError, match="out of range"):
+            model.sample_many(bad, 5, rng)
     assert rng.bit_generator.state == state
     empty = model.sample_many((0, 0), 0, rng)
     assert empty.shape == (0, 2) and empty.dtype == np.int64
